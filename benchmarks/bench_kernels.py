@@ -3,12 +3,14 @@
 
 Run directly for one backend (selected by ROBUST_TREES_BACKEND), or with
 ``--both`` to re-execute itself under numba and the pure NumPy fallback
-and print a side-by-side table:
+and print a side-by-side table (the NumPy column alone, with a note,
+where numba is not installed):
 
     python3 benchmarks/bench_kernels.py --both
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,6 +27,7 @@ from robust_trees import (
     build_threshold_catalog,
     generate_instance,
     optimize_leaves_local,
+    per_sample_optima,
     perturbation_cost,
     sample_random_structure,
     solve_global,
@@ -86,12 +89,27 @@ def bench_structure_scan():
     solve_master(ds, scen, space, depth=2)
 
 
+def bench_structure_scan_fixed():
+    inst = generate_instance(InstanceSpec(grid_side=4, n_train=5, n_test=1,
+                                          seed=5))
+    ds, space = inst.train, inst.space
+    rng = np.random.default_rng(5)
+    scen = ScenarioSet.zero(ds.n_samples, ds.n_items)
+    for _ in range(2):
+        scen = scen.append(np.round(
+            rng.uniform(-0.5, 0.5, size=(ds.n_samples, ds.n_items)), 3))
+    optima = per_sample_optima(ds, space)
+    leaves = optima[rng.integers(len(optima), size=4)]
+    solve_master(ds, scen, space, depth=2, fixed_leaves=leaves)
+
+
 BENCHMARKS = [
     ("grid_min_path", bench_grid_min_path),
     ("perturbation_cost", bench_perturbation_cost),
     ("solve_global", bench_solve_global),
     ("leaf_assignment", bench_leaf_assignment),
     ("structure_scan", bench_structure_scan),
+    ("structure_scan_fixed", bench_structure_scan_fixed),
 ]
 
 
@@ -130,9 +148,15 @@ def main():
     args = parser.parse_args()
 
     if args.both:
-        fast = _run_backend("numba", args.repeat)
-        slow = _run_backend("numpy", args.repeat)
         width = max(len(n) for n, _ in BENCHMARKS)
+        slow = _run_backend("numpy", args.repeat)
+        if importlib.util.find_spec("numba") is None:
+            print("numba backend: not available (numba is not installed)")
+            print(f"{'benchmark':<{width}}  {'numpy':>10}")
+            for name, _ in BENCHMARKS:
+                print(f"{name:<{width}}  {slow[name]:>9.3f}s")
+            return
+        fast = _run_backend("numba", args.repeat)
         print(f"{'benchmark':<{width}}  {'numba':>10}  {'numpy':>10}"
               f"  {'speedup':>8}")
         for name, _ in BENCHMARKS:

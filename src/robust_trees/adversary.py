@@ -74,7 +74,11 @@ def _leaf_boxes(tree, eps):
 
 
 def perturbation_cost(tree, dataset, eps=EPSILON):
-    """Effort matrix rho[j, k]; zero exactly at each sample's nominal leaf."""
+    """Effort matrix rho[j, k]; zero exactly at each sample's nominal leaf.
+
+    The zero shift reaches the nominal leaf even when an observation lies
+    less than ``eps`` above a threshold, outside that leaf's box.
+    """
     if dataset.n_items != tree.n_items:
         raise ValueError("dataset and tree disagree on the number of items")
     boxes = _leaf_boxes(tree, eps)
@@ -101,7 +105,9 @@ def perturbation_cost(tree, dataset, eps=EPSILON):
         np.asarray(ptr, dtype=np.int64),
         np.asarray(ok, dtype=np.uint8),
     )
-    return PerturbationEffort(rho, tree.traverse_batch(dataset.costs), eps)
+    nominal = tree.traverse_batch(dataset.costs)
+    rho[np.arange(dataset.n_samples), nominal] = 0.0
+    return PerturbationEffort(rho, nominal, eps)
 
 
 def reconstruct_perturbation(tree, dataset, assignment, eps=EPSILON):
@@ -114,20 +120,31 @@ def reconstruct_perturbation(tree, dataset, assignment, eps=EPSILON):
     can land an ulp above an upper edge, which would flip the branch;
     the shift is then stepped down until the sum respects the edge.  An
     ulp below a lower edge is harmless because lower edges carry the
-    ``eps`` routing margin.  Raises :class:`InfeasibleTarget` for
-    contradictory targets.
+    ``eps`` routing margin.  Samples assigned to their nominal leaf keep
+    a zero shift, matching their zero effort, also when they lie inside
+    that margin.  Raises :class:`InfeasibleTarget` for contradictory
+    targets.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     boxes = _leaf_boxes(tree, eps)
     xi = np.zeros_like(dataset.costs)
+    # Samples the zero shift may already route to their leaf: each clamp
+    # is onto a lower edge and within the eps margin, or the box is empty.
+    # The screen allows 2 * eps against rounding; a traversal decides.
+    maybe_nominal = []
     for j, k in enumerate(assignment):
         bounds = boxes[int(k)]
         if bounds is None:
-            raise InfeasibleTarget(f"leaf {int(k)} has contradictory bounds")
+            maybe_nominal.append(j)
+            continue
+        in_margin = True
+        shifted = False
         for i, (lo, hi) in bounds.items():
             cji = dataset.costs[j, i]
             if cji < lo:
                 xi[j, i] = lo - cji
+                shifted = True
+                in_margin = in_margin and lo - cji < 2.0 * eps
             elif cji > hi:
                 shift = hi - cji
                 for _ in range(64):
@@ -138,8 +155,20 @@ def reconstruct_perturbation(tree, dataset, assignment, eps=EPSILON):
                     raise InfeasibleTarget(
                         f"cannot place item {i} under {hi}")
                 xi[j, i] = shift
+                shifted = True
+                in_margin = False
+        if shifted and in_margin:
+            maybe_nominal.append(j)
+    if maybe_nominal:
+        rows = np.asarray(maybe_nominal)
+        nominal = tree.traverse_batch(dataset.costs[rows])
+        xi[rows[nominal == assignment[rows]]] = 0.0
     routed = tree.traverse_batch(dataset.costs + xi)
     if not np.array_equal(routed, assignment):
+        for k in assignment[routed != assignment]:
+            if boxes[int(k)] is None:
+                raise InfeasibleTarget(
+                    f"leaf {int(k)} has contradictory bounds")
         raise InfeasibleTarget("witness does not reach the assigned leaves")
     return xi
 

@@ -232,7 +232,9 @@ def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
 
     Each round draws one solution per leaf (with replacement) from the
     deduplicated per-sample optima and fits the best split structure for
-    that leaf set by cut generation.
+    that leaf set by cut generation.  A round whose cut generation stalls
+    is dropped and the incumbent kept; :class:`ConvergenceStall` is raised
+    only when every round stalled.
     """
     config = config if config is not None else HeuristicConfig()
     start = time.perf_counter()
@@ -249,17 +251,24 @@ def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
         draw = rng.integers(len(optima), size=n_leaves)
         fixed = optima[draw]
         remaining = config.time_limit - (time.perf_counter() - start)
-        rep = scenario_generation(dataset, budget, space, config.depth,
-                                  catalog=catalog, fixed_leaves=fixed,
-                                  time_limit=remaining, eps=eps)
-        obj = _certified_value(rep, dataset, budget, eps)
-        if obj < best:
-            best = obj
-            best_tree = rep.tree
+        try:
+            rep = scenario_generation(dataset, budget, space, config.depth,
+                                      catalog=catalog, fixed_leaves=fixed,
+                                      time_limit=remaining, eps=eps)
+        except ConvergenceStall:
+            pass
+        else:
+            obj = _certified_value(rep, dataset, budget, eps)
+            if obj < best:
+                best = obj
+                best_tree = rep.tree
         if config.max_rounds is not None and rounds >= config.max_rounds:
             break
         if time.perf_counter() - start >= config.time_limit:
             break
+    if best_tree is None:
+        raise ConvergenceStall(f"the cut generation of all {rounds} rounds "
+                               "stalled")
     return SolveReport("Hsol", best_tree, best, best, rounds,
                        time.perf_counter() - start, True, False,
                        extras={"rounds": rounds})
@@ -276,7 +285,8 @@ def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
     catalog structures (the current one included) and the leaf pass
     searches all pool assignments (the current one included), so the
     recorded pass objectives are nonincreasing unless an inner solve
-    hit the time limit.
+    hit the time limit.  A structure pass whose cut generation stalls
+    ends the restart with its incumbent.
     """
     config = config if config is not None else HeuristicConfig()
     start = time.perf_counter()
@@ -303,10 +313,13 @@ def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
                                      remaining())
         passes = [cur]
         for _ in range(_INNER_PASS_CAP):
-            rep = scenario_generation(dataset, budget, space, config.depth,
-                                      catalog=catalog,
-                                      fixed_leaves=tree.leaves,
-                                      time_limit=remaining(), eps=eps)
+            try:
+                rep = scenario_generation(dataset, budget, space,
+                                          config.depth, catalog=catalog,
+                                          fixed_leaves=tree.leaves,
+                                          time_limit=remaining(), eps=eps)
+            except ConvergenceStall:
+                break
             val_b = _certified_value(rep, dataset, budget, eps)
             passes.append(val_b)
             if val_b > cur + OBJECTIVE_TOL:

@@ -1,7 +1,8 @@
-"""Hot numerical loops, compiled with numba when available.
+"""Hot numerical kernels.
 
-Every kernel is written once as plain loops over numpy arrays.  At import
-time the module decides which backend to use:
+Most kernels are branch-and-bound searches or dynamic programs written
+once as plain loops over numpy arrays and compiled with numba when it is
+available.  At import time the module decides which backend runs them:
 
 * ``ROBUST_TREES_BACKEND=numba`` forces compilation (ImportError if numba
   is missing),
@@ -10,6 +11,12 @@ time the module decides which backend to use:
 
 Both paths run the identical code and return identical results; only the
 speed differs.  ``benchmarks/bench_kernels.py`` measures the gap.
+
+The split-structure scans (``scan_structures_free``,
+``scan_structures_fixed``) are NumPy code under either backend: they
+evaluate blocks of consecutive structures at once and return bitwise what
+a loop over one structure at a time returns (``tests/oracles.py`` keeps
+that loop as their reference).
 
 Branch-and-bound kernels use small safety margins (1e-9 absolute) so that
 float rounding in bound arithmetic can never prune a strictly better
@@ -343,7 +350,46 @@ def _assign_reach(values, reach, minval, last_reach):
 # Split-structure scans
 # ---------------------------------------------------------------------------
 
-def _scan_structures_free(bits, values, depth, start, stop, best_in, lb):
+_BLOCK_ELEMS = 2 ** 13
+"""Cap on the elements of any temporary array a scan block allocates."""
+
+
+def _decode(lo, hi, n_pat, n_nodes):
+    """Split choice per node of structures [lo, hi), node 0 slowest."""
+    place = n_pat ** np.arange(n_nodes - 1, -1, -1, dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // place % n_pat
+
+
+def _route(bits, choice, depth):
+    """Leaf reached by every sample of ``bits[m, ...]`` under each structure.
+
+    Returns an int64 array of shape (structures,) + bits.shape[1:].
+    """
+    at_node = bits[choice]
+    node = np.zeros((choice.shape[0], 1) + bits.shape[1:], np.int64)
+    for _ in range(depth):
+        left = np.take_along_axis(at_node, node, axis=1)
+        node = np.where(left, 2 * node + 1, 2 * node + 2)
+    return node[:, 0] - choice.shape[1]
+
+
+def _settle(obj, best, lb_stop):
+    """Where a scan over one block's objectives leaves its incumbent.
+
+    Replays the odometer rule (the incumbent moves on strict improvement,
+    the scan stops at the first improvement reaching lb_stop).  Returns
+    (index of the new incumbent or -1, whether the scan stops there).
+    """
+    i = int(np.argmin(obj))
+    if not obj[i] < best:
+        return -1, False
+    if not obj[i] <= lb_stop:
+        return i, False
+    prefix = np.minimum.accumulate(np.concatenate(([best], obj[:-1])))
+    return int(np.argmax((obj <= lb_stop) & (obj < prefix))), True
+
+
+def scan_structures_free(bits, values, depth, start, stop, best_in, lb):
     """Scan structures [start, stop) with free leaves, single routing.
 
     bits[m, j]: 1 when sample j satisfies split pattern m (branches left).
@@ -351,103 +397,71 @@ def _scan_structures_free(bits, values, depth, start, stop, best_in, lb):
     leaves decouple, so each leaf takes the candidate minimizing its summed
     value.  Structures are visited in odometer order (node 0 slowest), the
     incumbent moves only on strict improvement, and the scan stops early
-    once it touches the relaxation bound lb.
+    once it touches the relaxation bound lb.  Sums run in sample, then
+    leaf order from 0.0, as a loop over structures would add them.
     """
-    n_pat = bits.shape[0]
-    n_samples = bits.shape[1]
+    n_pat, n_samples = bits.shape
     n_pool = values.shape[1]
     n_nodes = 2 ** depth - 1
     n_leaves = 2 ** depth
-    choice = np.zeros(n_nodes, np.int64)
     best_choice = np.full(n_nodes, -1, np.int64)
     best_leaf = np.zeros(n_leaves, np.int64)
-    leafsum = np.zeros((n_leaves, n_pool), np.float64)
     best = best_in
     improved = False
     lb_stop = lb + 1e-12 * (1.0 + abs(lb))
-    for it in range(start, stop):
-        rem = it
-        for q in range(n_nodes - 1, -1, -1):
-            choice[q] = rem % n_pat
-            rem //= n_pat
-        for k in range(n_leaves):
-            for p in range(n_pool):
-                leafsum[k, p] = 0.0
+    block = max(1, _BLOCK_ELEMS // max(n_nodes * n_samples,
+                                       n_leaves * n_pool))
+    for lo in range(start, stop, block):
+        choice = _decode(lo, min(lo + block, stop), n_pat, n_nodes)
+        leaf = _route(bits, choice, depth)
+        rows = np.arange(choice.shape[0])
+        leafsum = np.zeros((choice.shape[0], n_leaves, n_pool))
         for j in range(n_samples):
-            node = 0
-            for _ in range(depth):
-                if bits[choice[node], j]:
-                    node = 2 * node + 1
-                else:
-                    node = 2 * node + 2
-            k = node - n_nodes
-            for p in range(n_pool):
-                leafsum[k, p] += values[j, p]
-        obj = 0.0
+            leafsum[rows, leaf[:, j]] += values[j]
+        leafmin = leafsum.min(axis=2)
+        obj = np.zeros(choice.shape[0])
         for k in range(n_leaves):
-            m0 = leafsum[k, 0]
-            for p in range(1, n_pool):
-                if leafsum[k, p] < m0:
-                    m0 = leafsum[k, p]
-            obj += m0
-        if obj < best:
-            best = obj
+            obj += leafmin[:, k]
+        i, done = _settle(obj, best, lb_stop)
+        if i >= 0:
+            best = obj[i]
             improved = True
-            for q in range(n_nodes):
-                best_choice[q] = choice[q]
-            for k in range(n_leaves):
-                arg = 0
-                m0 = leafsum[k, 0]
-                for p in range(1, n_pool):
-                    if leafsum[k, p] < m0:
-                        m0 = leafsum[k, p]
-                        arg = p
-                best_leaf[k] = arg
-            if best <= lb_stop:
+            best_choice = choice[i]
+            best_leaf = leafsum[i].argmin(axis=1)
+            if done:
                 break
     return best, improved, best_choice, best_leaf
 
 
-def _scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
+def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
     """Scan structures [start, stop) with fixed leaf values, any scenarios.
 
     bits[m, s, j]: 1 when sample j under scenario s satisfies pattern m.
     leaf_vals[j, k]: value of sample j if routed to leaf k.  Objective is
-    the max over scenarios of the routed sums.
+    the max over scenarios of the routed sums.  Visiting order, tie-break
+    and early stop are those of :func:`scan_structures_free`.
     """
-    n_pat = bits.shape[0]
-    n_scen = bits.shape[1]
-    n_samples = bits.shape[2]
+    n_pat, n_scen, n_samples = bits.shape
     n_nodes = 2 ** depth - 1
-    choice = np.zeros(n_nodes, np.int64)
     best_choice = np.full(n_nodes, -1, np.int64)
     best = best_in
     improved = False
     lb_stop = lb + 1e-12 * (1.0 + abs(lb))
-    for it in range(start, stop):
-        rem = it
-        for q in range(n_nodes - 1, -1, -1):
-            choice[q] = rem % n_pat
-            rem //= n_pat
-        obj = -np.inf
-        for s in range(n_scen):
-            tot = 0.0
-            for j in range(n_samples):
-                node = 0
-                for _ in range(depth):
-                    if bits[choice[node], s, j]:
-                        node = 2 * node + 1
-                    else:
-                        node = 2 * node + 2
-                tot += leaf_vals[j, node - n_nodes]
-            if tot > obj:
-                obj = tot
-        if obj < best:
-            best = obj
+    cols = np.arange(n_samples)
+    block = max(1, _BLOCK_ELEMS // (n_nodes * n_scen * n_samples))
+    for lo in range(start, stop, block):
+        choice = _decode(lo, min(lo + block, stop), n_pat, n_nodes)
+        routed = leaf_vals[cols, _route(bits, choice, depth)]
+        tot = np.zeros(routed.shape[:2])
+        for j in range(n_samples):
+            tot += routed[:, :, j]
+        obj = tot.max(axis=1)
+        i, done = _settle(obj, best, lb_stop)
+        if i >= 0:
+            best = obj[i]
             improved = True
-            for q in range(n_nodes):
-                best_choice[q] = choice[q]
-            if best <= lb_stop:
+            best_choice = choice[i]
+            if done:
                 break
     return best, improved, best_choice
 
@@ -459,5 +473,3 @@ effort_matrix = _maybe_jit(_effort_matrix)
 mckp_search = _maybe_jit(_mckp_search)
 assign_minmax = _maybe_jit(_assign_minmax)
 assign_reach = _maybe_jit(_assign_reach)
-scan_structures_free = _maybe_jit(_scan_structures_free)
-scan_structures_fixed = _maybe_jit(_scan_structures_fixed)

@@ -5,6 +5,10 @@ math from scratch: leaf constraint boxes are rebuilt by walking leaf
 index bits, efforts are plain interval distances, and all optimization
 is exhaustive enumeration.  Only trivial accessors of the package
 (array fields, ``traverse_batch``) are reused.
+
+``scan_structures_free`` and ``scan_structures_fixed`` are the
+one-structure-at-a-time loops that ``robust_trees.kernels`` evaluates in
+NumPy blocks; the kernels must return bitwise the same results.
 """
 
 import itertools
@@ -50,11 +54,15 @@ def effort(tree, costs_row, leaf, eps):
 
 
 def effort_matrix(tree, dataset, eps):
+    """Efforts of every (sample, leaf); a sample's nominal leaf is free,
+    as the zero shift reaches it even inside the ``eps`` margin."""
     n_leaves = 2 ** tree.depth
+    nominal = tree.traverse_batch(dataset.costs)
     rho = np.empty((dataset.n_samples, n_leaves))
     for j in range(dataset.n_samples):
         for k in range(n_leaves):
-            rho[j, k] = effort(tree, dataset.costs[j], k, eps)
+            rho[j, k] = (0.0 if k == nominal[j]
+                         else effort(tree, dataset.costs[j], k, eps))
     return rho
 
 
@@ -121,3 +129,112 @@ def best_leaf_fill_value(tree, dataset, budget, pool, eps):
         cand = tree.with_leaves(pool[list(pick)])
         best = min(best, adversary_value(cand, dataset, budget, eps))
     return best
+
+
+def scan_structures_free(bits, values, depth, start, stop, best_in, lb):
+    """Scan structures [start, stop) with free leaves, single routing.
+
+    bits[m, j]: 1 when sample j satisfies split pattern m (branches left).
+    values[j, p]: candidate p's value for sample j.  With one routing the
+    leaves decouple, so each leaf takes the candidate minimizing its summed
+    value.  Structures are visited in odometer order (node 0 slowest), the
+    incumbent moves only on strict improvement, and the scan stops early
+    once it touches the relaxation bound lb.
+    """
+    n_pat = bits.shape[0]
+    n_samples = bits.shape[1]
+    n_pool = values.shape[1]
+    n_nodes = 2 ** depth - 1
+    n_leaves = 2 ** depth
+    choice = np.zeros(n_nodes, np.int64)
+    best_choice = np.full(n_nodes, -1, np.int64)
+    best_leaf = np.zeros(n_leaves, np.int64)
+    leafsum = np.zeros((n_leaves, n_pool), np.float64)
+    best = best_in
+    improved = False
+    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
+    for it in range(start, stop):
+        rem = it
+        for q in range(n_nodes - 1, -1, -1):
+            choice[q] = rem % n_pat
+            rem //= n_pat
+        for k in range(n_leaves):
+            for p in range(n_pool):
+                leafsum[k, p] = 0.0
+        for j in range(n_samples):
+            node = 0
+            for _ in range(depth):
+                if bits[choice[node], j]:
+                    node = 2 * node + 1
+                else:
+                    node = 2 * node + 2
+            k = node - n_nodes
+            for p in range(n_pool):
+                leafsum[k, p] += values[j, p]
+        obj = 0.0
+        for k in range(n_leaves):
+            m0 = leafsum[k, 0]
+            for p in range(1, n_pool):
+                if leafsum[k, p] < m0:
+                    m0 = leafsum[k, p]
+            obj += m0
+        if obj < best:
+            best = obj
+            improved = True
+            for q in range(n_nodes):
+                best_choice[q] = choice[q]
+            for k in range(n_leaves):
+                arg = 0
+                m0 = leafsum[k, 0]
+                for p in range(1, n_pool):
+                    if leafsum[k, p] < m0:
+                        m0 = leafsum[k, p]
+                        arg = p
+                best_leaf[k] = arg
+            if best <= lb_stop:
+                break
+    return best, improved, best_choice, best_leaf
+
+
+def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
+    """Scan structures [start, stop) with fixed leaf values, any scenarios.
+
+    bits[m, s, j]: 1 when sample j under scenario s satisfies pattern m.
+    leaf_vals[j, k]: value of sample j if routed to leaf k.  Objective is
+    the max over scenarios of the routed sums.
+    """
+    n_pat = bits.shape[0]
+    n_scen = bits.shape[1]
+    n_samples = bits.shape[2]
+    n_nodes = 2 ** depth - 1
+    choice = np.zeros(n_nodes, np.int64)
+    best_choice = np.full(n_nodes, -1, np.int64)
+    best = best_in
+    improved = False
+    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
+    for it in range(start, stop):
+        rem = it
+        for q in range(n_nodes - 1, -1, -1):
+            choice[q] = rem % n_pat
+            rem //= n_pat
+        obj = -np.inf
+        for s in range(n_scen):
+            tot = 0.0
+            for j in range(n_samples):
+                node = 0
+                for _ in range(depth):
+                    if bits[choice[node], s, j]:
+                        node = 2 * node + 1
+                    else:
+                        node = 2 * node + 2
+                tot += leaf_vals[j, node - n_nodes]
+            if tot > obj:
+                obj = tot
+        if obj < best:
+            best = obj
+            improved = True
+            for q in range(n_nodes):
+                best_choice[q] = choice[q]
+            if best <= lb_stop:
+                break
+    return best, improved, best_choice

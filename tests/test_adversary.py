@@ -9,13 +9,17 @@ from robust_trees import (
     Dataset,
     DecisionTree,
     InfeasibleTarget,
+    InstanceSpec,
+    UncertaintyBudget,
     brute_force_global,
     build_threshold_catalog,
+    generate_instance,
     leaf_values,
     nominal_objective,
     perturbation_cost,
     reconstruct_perturbation,
     sample_random_structure,
+    scenario_generation,
     solve_global,
     solve_local,
 )
@@ -72,6 +76,57 @@ class TestPerturbationCost:
     def test_item_count_mismatch(self, depth1_tree):
         with pytest.raises(ValueError):
             perturbation_cost(depth1_tree, Dataset(np.ones((2, 3))))
+
+
+class TestNominalLeafInsideMargin:
+    """Sample 2 of this instance lies less than eps above a threshold of
+    the certified depth-2 tree at a zero per-sample budget: its nominal
+    leaf is outside that leaf's box, but the zero shift reaches it."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        inst = generate_instance(InstanceSpec(grid_side=3, n_train=4,
+                                              n_test=1, seed=1189995888))
+        ds = inst.train
+        rep = scenario_generation(ds, UncertaintyBudget.local(0.0),
+                                  inst.space, depth=2)
+        assert rep.optimal
+        return ds, rep.tree
+
+    def test_nominal_effort_is_zero(self, case):
+        ds, tree = case
+        eff = perturbation_cost(tree, ds)
+        rows = np.arange(ds.n_samples)
+        assert oracles.effort(tree, ds.costs[2], eff.nominal_leaf[2],
+                              eps=1e-3) > 0.0
+        assert (eff.rho[rows, eff.nominal_leaf] == 0.0).all()
+
+    def test_nominal_leaf_with_empty_box(self):
+        # Right at item 0 > 1.0, then left at item 0 <= 1.0005: the box of
+        # leaf 2 demands obs >= 1.001 and <= 1.0005, yet 1.0003 lands there.
+        ds = Dataset(np.array([[1.0003, 0.0], [5.0, 0.0]]))
+        leaves = np.eye(4, 2, dtype=np.int8)
+        tree = DecisionTree(2, [0, 1, 0], [1.0, 0.5, 1.0005], leaves)
+        eff = perturbation_cost(tree, ds)
+        assert eff.nominal_leaf.tolist() == [2, 3]
+        assert eff.rho[0, 2] == 0.0 and np.isinf(eff.rho[1, 2])
+        res = solve_local(tree, ds, 0.0)
+        assert res.assignment.tolist() == [2, 3]
+        assert (res.xi == 0.0).all()
+        with pytest.raises(InfeasibleTarget):
+            reconstruct_perturbation(tree, ds, np.array([2, 2]))
+
+    @pytest.mark.parametrize("solve", [solve_local, solve_global])
+    def test_zero_budget_witness_replays(self, case, solve):
+        ds, tree = case
+        res = solve(tree, ds, 0.0)
+        nominal = tree.traverse_batch(ds.costs)
+        assert np.array_equal(res.assignment, nominal)
+        assert np.array_equal(tree.traverse_batch(ds.costs + res.xi),
+                              res.assignment)
+        assert np.abs(res.xi).sum() <= 0.0
+        assert res.effort == 0.0
+        assert res.objective == nominal_objective(tree, ds)
 
 
 class TestWitness:

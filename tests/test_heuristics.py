@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import selection_fixture
 from robust_trees import (
+    ConvergenceStall,
     Dataset,
     HeuristicConfig,
     InstanceSpec,
@@ -26,6 +27,7 @@ from robust_trees import (
     sample_random_structure,
     scenario_generation,
 )
+from robust_trees import heuristics
 
 
 def small_instance(seed, grid_side=3, n_train=4):
@@ -215,7 +217,68 @@ class TestHSol:
         assert a.objective == b.objective
 
 
+    def test_stalled_round_keeps_incumbent(self, monkeypatch):
+        ds, space = small_instance(13)
+        budget = compute_budget(ds, 0.1, 1, "local")
+        cfg = HeuristicConfig(depth=1, time_limit=20.0, seed=2,
+                              max_rounds=3)
+        real = heuristics.scenario_generation
+        per_round = []
+
+        def record(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            per_round.append(rep.objective)
+            return rep
+
+        monkeypatch.setattr(heuristics, "scenario_generation", record)
+        h_sol(ds, budget, space, cfg)
+        calls = []
+
+        def stall_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ConvergenceStall("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics, "scenario_generation", stall_first)
+        rep = h_sol(ds, budget, space, cfg)
+        assert rep.extras["rounds"] == 3
+        assert rep.objective == min(per_round[1:])
+        assert rep.objective == robust_value(rep.tree, ds, budget)
+
+    def test_all_rounds_stalled_raises(self, monkeypatch):
+        ds, space = small_instance(13)
+        budget = compute_budget(ds, 0.1, 1, "local")
+        cfg = HeuristicConfig(depth=1, time_limit=20.0, seed=2,
+                              max_rounds=2)
+
+        def stall(*args, **kwargs):
+            raise ConvergenceStall("forced")
+
+        monkeypatch.setattr(heuristics, "scenario_generation", stall)
+        with pytest.raises(ConvergenceStall):
+            h_sol(ds, budget, space, cfg)
+
+
 class TestHAlt:
+    def test_stalled_structure_pass_keeps_incumbent(self, monkeypatch):
+        # With every structure pass stalled, each restart keeps its first
+        # leaf fill: the same random structures and leaves as h_tree.
+        ds, space = small_instance(5)
+        budget = compute_budget(ds, 0.1, 1, "local")
+        cfg = HeuristicConfig(depth=1, time_limit=30.0, seed=5,
+                              max_rounds=3)
+
+        def stall(*args, **kwargs):
+            raise ConvergenceStall("forced")
+
+        monkeypatch.setattr(heuristics, "scenario_generation", stall)
+        rep = h_alt(ds, budget, space, cfg)
+        assert rep.extras["rounds"] == 3
+        assert all(len(p) == 1 for p in rep.extras["pass_objectives"])
+        assert rep.objective == h_tree(ds, budget, space, cfg).objective
+        assert rep.objective == robust_value(rep.tree, ds, budget)
+
     def test_passes_never_increase(self):
         for seed in (0, 5):
             ds, space = small_instance(seed)

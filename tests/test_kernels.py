@@ -5,7 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from robust_trees import kernels
 
 
@@ -106,3 +110,69 @@ def test_backends_produce_identical_results(tmp_path):
         outputs[backend] = json.loads(proc.stdout)
         assert outputs[backend].pop("backend_checked") == backend
     assert outputs["numba"] == outputs["numpy"]
+
+
+# Values with ties and with sums that depend on the order of addition.
+_SCAN_VALUES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1e-3, 2.5, 1e6])
+
+
+def _bitwise_equal(got, ref):
+    assert len(got) == len(ref)
+    assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+    assert got[1] == ref[1]
+    for g, r in zip(got[2:], ref[2:]):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r)
+
+
+def _scan_case(data, bits_shape, values_shape, depth, reference):
+    """Draw the arguments of a scan: bits, values, depth, a window
+    [start, stop), best_in and lb.
+
+    best_in and lb are drawn among the objectives of the window's best
+    structure and two random structures, and values off them, so the
+    early stop sometimes fires at the best structure, sometimes at an
+    earlier one (also where best_in already lies below lb) and sometimes
+    never.
+    """
+    bits = data.draw(hnp.arrays(np.uint8, bits_shape,
+                                elements=st.integers(0, 1)))
+    values = data.draw(hnp.arrays(np.float64, values_shape,
+                                  elements=_SCAN_VALUES))
+    total = bits_shape[0] ** (2 ** depth - 1)
+    start = data.draw(st.integers(0, total - 1))
+    stop = data.draw(st.integers(start + 1, min(total, start + 400)))
+
+    def window_value(lo, hi):
+        return float(reference(bits, values, depth, lo, hi, np.inf,
+                               -1e300)[0])
+
+    best = window_value(start, stop)
+    picked = [window_value(t, t + 1)
+              for t in data.draw(st.lists(st.integers(start, stop - 1),
+                                          min_size=2, max_size=2))]
+    best_in = data.draw(st.sampled_from([np.inf, best, best - 0.5]
+                                        + picked))
+    lb = data.draw(st.sampled_from([best, best - 1.0, best + 0.3] + picked))
+    return bits, values, depth, start, stop, best_in, lb
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_pat=st.integers(1, 12), n_samples=st.integers(1, 10),
+       n_pool=st.integers(1, 6), depth=st.integers(1, 3))
+def test_free_scan_matches_loop(data, n_pat, n_samples, n_pool, depth):
+    args = _scan_case(data, (n_pat, n_samples), (n_samples, n_pool), depth,
+                      oracles.scan_structures_free)
+    _bitwise_equal(kernels.scan_structures_free(*args),
+                   oracles.scan_structures_free(*args))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_pat=st.integers(1, 12), n_scen=st.integers(1, 4),
+       n_samples=st.integers(1, 10), depth=st.integers(1, 3))
+def test_fixed_scan_matches_loop(data, n_pat, n_scen, n_samples, depth):
+    args = _scan_case(data, (n_pat, n_scen, n_samples),
+                      (n_samples, 2 ** depth), depth,
+                      oracles.scan_structures_fixed)
+    _bitwise_equal(kernels.scan_structures_fixed(*args),
+                   oracles.scan_structures_fixed(*args))
