@@ -7,9 +7,9 @@ routes on are corrupted by a budgeted adversary, while the objective is
 always charged at the true costs.
 """
 
-from .adversary import (AdversaryResult, PerturbationEffort,
-                        brute_force_global, perturbation_cost,
-                        reconstruct_perturbation, solve_global, solve_local)
+from .adversary import (AdversaryResult, PerturbationEffort, evaluate_robust,
+                        perturbation_cost, reconstruct_perturbation,
+                        solve_global, solve_local)
 from .errors import (CapExceeded, ConvergenceStall, DegenerateVariance,
                      InfeasibleTarget, NoSplitAvailable, RobustTreesError)
 from .exact import (PI_GRID, ScenarioSet, SolveReport, post_process,
@@ -26,9 +26,8 @@ from .instances import (Instance, InstanceSpec, compute_budget,
 from .model import (EPSILON, OBJECTIVE_TOL, Dataset, DecisionTree,
                     ThresholdCatalog, UncertaintyBudget,
                     assignment_objective, build_threshold_catalog,
-                    dataset_from_json, dataset_to_json, evaluate_robust,
-                    leaf_values, nominal_objective, tree_from_json,
-                    tree_to_json)
+                    dataset_from_json, dataset_to_json, leaf_values,
+                    nominal_objective, tree_from_json, tree_to_json)
 from .spaces import ENUMERATION_CAP, ExplicitSpace, GridGraph, SelectionSpace
 
 __version__ = "0.1.0"
@@ -40,7 +39,7 @@ __all__ = [
     "Instance", "InstanceSpec", "NoSplitAvailable", "OBJECTIVE_TOL",
     "PI_GRID", "PerturbationEffort", "RobustTreesError", "ScenarioSet",
     "SelectionSpace", "SolveReport", "ThresholdCatalog",
-    "UncertaintyBudget", "assignment_objective", "brute_force_global",
+    "UncertaintyBudget", "assignment_objective",
     "build_threshold_catalog", "compute_budget", "dataset_from_json",
     "dataset_to_json", "default_sweep_lambdas", "evaluate_robust",
     "exp_correlation",

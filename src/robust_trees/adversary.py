@@ -12,8 +12,11 @@ unreachable (effort +inf) for every sample.
 ``solve_local`` gives every sample its own budget and decomposes into
 per-sample argmaxes.  ``solve_global`` shares one budget across samples —
 a multiple-choice knapsack solved exactly by branch and bound (see
-``kernels.mckp_search``).  ``brute_force_global`` is the independent
-exhaustive reference for the latter.
+``kernels.mckp_search``).  ``worst_case`` is the package's one entry
+point for a budget: the only place that picks between the two by the
+budget's kind (cut generation, ``robust_value`` and ``evaluate_robust``
+go through it).  Each solve also builds the witness shift and replays it
+through the tree.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CapExceeded, InfeasibleTarget
+from .errors import InfeasibleTarget
 from .model import EPSILON, assignment_objective, leaf_values
-
-BRUTE_FORCE_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -316,48 +317,21 @@ def solve_global(tree, dataset, gamma, eps=EPSILON):
     return _result(tree, dataset, values, eff.rho, assignment, eps)
 
 
-def brute_force_global(tree, dataset, gamma, eps=EPSILON, cap=BRUTE_FORCE_CAP):
-    """Exhaustive reference for :func:`solve_global`.
+def worst_case(tree, dataset, budget, eps=EPSILON):
+    """Exact worst case of a tree under ``budget``, by the budget's kind."""
+    if budget.kind == "local":
+        return solve_local(tree, dataset, budget.gamma, eps)
+    return solve_global(tree, dataset, budget.gamma, eps)
 
-    Walks every feasible assignment (each sample to any leaf with effort
-    <= gamma), pruning only on budget infeasibility, keeping the first
-    strict maximum.  Candidate order per sample is the nominal leaf first,
-    then leaves by index, so ties resolve the same way as the search.
+
+def evaluate_robust(tree, dataset, budget, space=None, eps=EPSILON):
+    """Worst-case objective under the given budget kind.
+
+    When ``space`` is passed, the tree's leaves are checked against it
+    first.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    eff = perturbation_cost(tree, dataset, eps)
-    values = leaf_values(dataset, tree)
-    options = []
-    total = 1
-    for j in range(dataset.n_samples):
-        opts = [int(eff.nominal_leaf[j])]
-        opts += [k for k in range(tree.n_leaves)
-                 if k != eff.nominal_leaf[j] and eff.rho[j, k] <= gamma]
-        options.append(opts)
-        total *= len(opts)
-        if total > cap:
-            raise CapExceeded(
-                f"assignment count exceeds the brute-force cap of {cap}")
-
-    n = dataset.n_samples
-    best_val = -np.inf
-    best = None
-    chosen = np.zeros(n, dtype=np.int64)
-
-    def recurse(j, spent, value):
-        nonlocal best_val, best
-        if j == n:
-            if value > best_val:
-                best_val = value
-                best = chosen.copy()
-            return
-        for k in options[j]:
-            extra = eff.rho[j, k]
-            if spent + extra <= gamma:
-                chosen[j] = k
-                recurse(j + 1, spent + extra, value + values[j, k])
-        return
-
-    recurse(0, 0.0, 0.0)
-    return _result(tree, dataset, values, eff.rho, best, eps)
+    if space is not None:
+        for k in range(tree.n_leaves):
+            if not space.is_feasible(tree.leaves[k]):
+                raise ValueError(f"leaf {k} is not feasible in the given space")
+    return worst_case(tree, dataset, budget, eps).objective

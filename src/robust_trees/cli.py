@@ -11,11 +11,12 @@ import json
 import sys
 
 from . import experiments, heuristics
+from .adversary import evaluate_robust
 from .exact import post_process, robust_value, scenario_generation
 from .instances import (InstanceSpec, compute_budget, generate_instance,
                         instance_from_json, instance_to_json)
-from .model import (UncertaintyBudget, evaluate_robust, nominal_objective,
-                    tree_from_json, tree_to_json)
+from .model import (UncertaintyBudget, nominal_objective, tree_from_json,
+                    tree_to_json)
 
 EXIT_OK = 0
 EXIT_ERROR = 1

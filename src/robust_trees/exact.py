@@ -7,14 +7,19 @@ observations, objectives charge true costs).  Splits with identical
 routing behaviour over every (sample, scenario) pair are interchangeable,
 so the search enumerates distinct routing *patterns* and maps the winner
 back to the first (item, threshold) representative — an exact reduction.
-Leaf assignment decomposes per leaf whenever all scenarios route alike
-(then each leaf takes ``min_linear`` of its samples' summed costs);
-otherwise an exact branch and bound picks the leaf tuple.
+Leaf assignment (``_assign_leaves``) decomposes per leaf whenever all
+scenarios route alike (then each leaf takes the pool solution minimizing
+its samples' summed costs); otherwise an exact branch and bound picks the
+leaf tuple.
 
-``scenario_generation`` alternates the master with the exact adversary,
+``_cut_generation`` is the package's one cut-generation loop: it
+alternates a master with the exact adversary (``adversary.worst_case``),
 appending each worst-case shift as a new scenario until the two values
-meet within tolerance, which certifies optimality over the catalog-split
-family.  ``post_process`` then slides thresholds inside their enclosing
+meet within tolerance.  ``scenario_generation`` runs it with
+``solve_master``, which certifies optimality over the catalog-split
+family; the shared-budget leaf optimizer of the heuristics runs it with a
+leaf-assignment master.  ``robust_value`` is the worst-case objective of
+one tree.  ``post_process`` slides thresholds inside their enclosing
 observed-value intervals and keeps the best tree found.
 """
 
@@ -72,9 +77,11 @@ class ScenarioSet:
 class SolveReport:
     """Outcome of a solve: the tree plus bookkeeping.
 
-    ``objective`` is the value the method stands behind (for converged
-    cut generation the certified worst case, for heuristics the incumbent's
-    worst case, for a bare master solve the scenario-set value).
+    ``objective`` is the value the method stands behind: for cut
+    generation the exact worst case of the returned tree, also after a
+    master or overall timeout (certified optimal only when converged);
+    for heuristics the incumbent's worst case; for a bare master solve the
+    scenario-set value.  ``master_objective`` is the last master value.
     ``optimal`` marks a certified optimum; heuristics never set it.
     """
 
@@ -147,6 +154,30 @@ def _route_matrix(pattern_bits, choices, depth):
     return leafm
 
 
+def _assign_leaves(values, leafm, n_leaves):
+    """Pool index per leaf minimizing the worst routing, and its value.
+
+    ``values[j, p]`` is sample j's cost under pool solution p and
+    ``leafm[s, j]`` the leaf sample j reaches under scenario s.  When every
+    scenario routes alike the problem splits per leaf (each leaf takes the
+    argmin of its samples' summed values); otherwise
+    ``kernels.assign_minmax`` finds the leaf tuple by branch and bound.
+    """
+    if (leafm == leafm[0]).all():
+        tup = np.zeros(n_leaves, dtype=np.int64)
+        obj = 0.0
+        for k in range(n_leaves):
+            colsum = values[leafm[0] == k].sum(axis=0)
+            tup[k] = int(np.argmin(colsum))
+            obj += float(colsum[tup[k]])
+        return obj, tup
+    agg = np.zeros((leafm.shape[0], n_leaves, values.shape[1]))
+    for s in range(leafm.shape[0]):
+        for k in range(n_leaves):
+            agg[s, k] = values[leafm[s] == k].sum(axis=0)
+    return kernels.assign_minmax(agg, agg.min(axis=2))
+
+
 def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
                  fixed_leaves=None, time_limit=None):
     """Best tree against a fixed scenario set; exact unless it times out.
@@ -158,11 +189,6 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
     """
     start = time.perf_counter()
     costs = dataset.costs
-    n = dataset.n_samples
-
-    def out_of_time():
-        return (time_limit is not None
-                and time.perf_counter() - start > time_limit)
 
     if depth == 0:
         if fixed_leaves is not None:
@@ -180,60 +206,41 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
     splits, pattern_bits, reps = _split_patterns(costs, scenarios, catalog)
     n_pat = pattern_bits.shape[0]
     n_nodes = 2 ** depth - 1
-    n_leaves_ = 2 ** depth
     total = n_pat ** n_nodes
     if total > _MAX_STRUCTURES:
         raise CapExceeded(f"{total} split structures is beyond any search")
 
-    timed_out = False
-    best_obj = np.inf
-    best_choice = None
-
     if fixed_leaves is not None:
-        leaf_vals = np.ascontiguousarray(
-            costs @ np.asarray(fixed_leaves, np.int8).astype(np.float64).T)
-        lb = float(leaf_vals.min(axis=1).sum())
-        lb_stop = lb + 1e-12 * (1.0 + abs(lb))
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            obj, improved, choice = kernels.scan_structures_fixed(
-                pattern_bits, leaf_vals, depth, lo, hi, best_obj, lb)
-            if improved:
-                best_obj = obj
-                best_choice = choice
-            if best_obj <= lb_stop:
-                break
-            if hi < total and out_of_time():
-                timed_out = True
-                break
         leaves = np.asarray(fixed_leaves, dtype=np.int8)
     else:
-        if pool is None:
-            pool = space.enumerate()
-        pool = np.asarray(pool, dtype=np.int8)
-        values = np.ascontiguousarray(costs @ pool.astype(np.float64).T)
-        lb = float(values.min(axis=1).sum())
-        lb_stop = lb + 1e-12 * (1.0 + abs(lb))
-        best_tuple = None
-        if scenarios.n_scenarios == 1:
-            bits2 = np.ascontiguousarray(pattern_bits[:, 0, :])
-            for lo in range(0, total, _CHUNK):
-                hi = min(lo + _CHUNK, total)
-                obj, improved, choice, leafpick = kernels.scan_structures_free(
-                    bits2, values, depth, lo, hi, best_obj, lb)
-                if improved:
-                    best_obj = obj
-                    best_choice = choice
-                    best_tuple = leafpick
-                if best_obj <= lb_stop:
-                    break
-                if hi < total and out_of_time():
-                    timed_out = True
-                    break
-        else:
-            memo = {}
-            counter = itertools.count()
-            for it in range(total):
+        leaves = np.asarray(space.enumerate() if pool is None else pool,
+                            dtype=np.int8)
+    values = np.ascontiguousarray(costs @ leaves.astype(np.float64).T)
+    lb = float(values.min(axis=1).sum())
+    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
+
+    # Each scan covers structures [lo, hi) and returns (best, improved,
+    # choice, leaf tuple): the first strict improvement on ``best`` that
+    # reaches ``lb_stop``, else the first minimum of the window.
+    step = _CHUNK
+    if fixed_leaves is not None:
+        def scan(lo, hi, best):
+            return kernels.scan_structures_fixed(
+                pattern_bits, values, depth, lo, hi, best, lb) + (None,)
+    elif scenarios.n_scenarios == 1:
+        bits2 = np.ascontiguousarray(pattern_bits[:, 0, :])
+
+        def scan(lo, hi, best):
+            return kernels.scan_structures_free(bits2, values, depth, lo, hi,
+                                                best, lb)
+    else:
+        # One interpreted step per structure: check the time more often.
+        step = _TIME_CHECK
+        memo = {}
+
+        def scan(lo, hi, best):
+            improved, choice, tup = False, None, None
+            for it in range(lo, hi):
                 rem = it
                 choices = [0] * n_nodes
                 for q in range(n_nodes - 1, -1, -1):
@@ -243,35 +250,29 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
                 key = leafm.tobytes()
                 hit = memo.get(key)
                 if hit is None:
-                    if (leafm == leafm[0]).all():
-                        tup = np.zeros(n_leaves_, dtype=np.int64)
-                        obj = 0.0
-                        for k in range(n_leaves_):
-                            members = leafm[0] == k
-                            colsum = values[members].sum(axis=0)
-                            tup[k] = int(np.argmin(colsum))
-                            obj += float(colsum[tup[k]])
-                    else:
-                        agg = np.zeros(
-                            (scenarios.n_scenarios, n_leaves_,
-                             values.shape[1]))
-                        for s in range(scenarios.n_scenarios):
-                            for k in range(n_leaves_):
-                                agg[s, k] = values[leafm[s] == k].sum(axis=0)
-                        obj, tup = kernels.assign_minmax(agg, agg.min(axis=2))
-                    memo[key] = (obj, tup)
-                else:
-                    obj, tup = hit
-                if obj < best_obj:
-                    best_obj = obj
-                    best_choice = list(choices)
-                    best_tuple = tup
-                if best_obj <= lb_stop:
-                    break
-                if next(counter) % _TIME_CHECK == 0 and out_of_time():
-                    timed_out = True
-                    break
-        leaves = pool[np.asarray(best_tuple, dtype=np.int64)]
+                    hit = memo[key] = _assign_leaves(values, leafm,
+                                                     2 ** depth)
+                if hit[0] < best:
+                    best, improved, choice, tup = hit[0], True, choices, hit[1]
+                    if best <= lb_stop:
+                        break
+            return best, improved, choice, tup
+
+    timed_out = False
+    best_obj, best_choice, best_tuple = np.inf, None, None
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        obj, improved, choice, tup = scan(lo, hi, best_obj)
+        if improved:
+            best_obj, best_choice, best_tuple = obj, choice, tup
+        if best_obj <= lb_stop:
+            break
+        if (hi < total and time_limit is not None
+                and time.perf_counter() - start > time_limit):
+            timed_out = True
+            break
+    if fixed_leaves is None:
+        leaves = leaves[np.asarray(best_tuple, dtype=np.int64)]
 
     rep_items = []
     rep_thetas = []
@@ -288,15 +289,43 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
 
 def robust_value(tree, dataset, budget, eps=EPSILON):
     """Worst-case objective of a tree under the budget's kind."""
-    if budget.kind == "local":
-        return adversary.solve_local(tree, dataset, budget.gamma, eps).objective
-    return adversary.solve_global(tree, dataset, budget.gamma, eps).objective
+    return adversary.worst_case(tree, dataset, budget, eps).objective
 
 
-def _adversary_result(tree, dataset, budget, eps):
-    if budget.kind == "local":
-        return adversary.solve_local(tree, dataset, budget.gamma, eps)
-    return adversary.solve_global(tree, dataset, budget.gamma, eps)
+def _cut_generation(master, dataset, budget, time_limit, tol, eps, dup_tol):
+    """Alternate ``master`` with the exact adversary until they meet.
+
+    ``master(scenarios, remaining)`` returns ``(tree, value, optimal)``:
+    its best tree against the :class:`ScenarioSet` so far, the tree's value
+    there, and whether that value is exact (``remaining`` is the time left,
+    or None).  Every master tree is handed to the adversary, so the report's
+    ``objective`` is always the exact worst case of its tree.  The loop
+    stops when the values meet within ``tol`` (certified), when the master
+    was not exact, or past ``time_limit``; a worst case already among the
+    scenarios (within ``dup_tol`` entrywise) raises
+    :class:`ConvergenceStall`.
+    """
+    start = time.perf_counter()
+    scen = ScenarioSet.zero(dataset.n_samples, dataset.n_items)
+    masters = []
+    while True:
+        remaining = (None if time_limit is None
+                     else time_limit - (time.perf_counter() - start))
+        tree, value, optimal = master(scen, remaining)
+        masters.append(value)
+        adv = adversary.worst_case(tree, dataset, budget, eps)
+        done = optimal and adv.objective - value <= tol
+        late = (time_limit is not None
+                and time.perf_counter() - start > time_limit)
+        if done or not optimal or late:
+            return SolveReport(
+                "SG", tree, adv.objective, value, len(masters),
+                time.perf_counter() - start, done, done,
+                extras={"master_objectives": masters})
+        if scen.contains(adv.xi, dup_tol):
+            raise ConvergenceStall(
+                "worst-case scenario repeated without convergence")
+        scen = scen.append(adv.xi)
 
 
 def scenario_generation(dataset, budget, space, depth, catalog=None,
@@ -310,41 +339,19 @@ def scenario_generation(dataset, budget, space, depth, catalog=None,
     those leaves).  A worst case identical (within ``dup_tol`` entrywise)
     to a stored scenario cannot cut anything off and raises
     :class:`ConvergenceStall`.  Hitting ``time_limit`` returns the current
-    incumbent with ``converged=False``; a running master or adversary
-    solve is never interrupted between the checks.
+    incumbent with ``converged=False``, its exact worst case as
+    ``objective`` and the last master value as ``master_objective``; a
+    running master or adversary solve is never interrupted between the
+    checks.
     """
-    start = time.perf_counter()
-    scen = ScenarioSet.zero(dataset.n_samples, dataset.n_items)
-    masters = []
-    iteration = 0
-    while True:
-        iteration += 1
-        remaining = (None if time_limit is None
-                     else time_limit - (time.perf_counter() - start))
-        m = solve_master(dataset, scen, space, depth, catalog=catalog,
+    def master(scenarios, remaining):
+        m = solve_master(dataset, scenarios, space, depth, catalog=catalog,
                          pool=pool, fixed_leaves=fixed_leaves,
                          time_limit=remaining)
-        masters.append(m.master_objective)
-        if not m.optimal:
-            return SolveReport(
-                "SG", m.tree, m.master_objective, m.master_objective,
-                iteration, time.perf_counter() - start, False, False,
-                extras={"master_objectives": masters})
-        adv = _adversary_result(m.tree, dataset, budget, eps)
-        if adv.objective - m.master_objective <= tol:
-            return SolveReport(
-                "SG", m.tree, adv.objective, m.master_objective, iteration,
-                time.perf_counter() - start, True, True,
-                extras={"master_objectives": masters})
-        if time_limit is not None and time.perf_counter() - start > time_limit:
-            return SolveReport(
-                "SG", m.tree, adv.objective, m.master_objective, iteration,
-                time.perf_counter() - start, False, False,
-                extras={"master_objectives": masters})
-        if scen.contains(adv.xi, dup_tol):
-            raise ConvergenceStall(
-                "worst-case scenario repeated without convergence")
-        scen = scen.append(adv.xi)
+        return m.tree, m.master_objective, m.optimal
+
+    return _cut_generation(master, dataset, budget, time_limit, tol, eps,
+                           dup_tol)
 
 
 def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,

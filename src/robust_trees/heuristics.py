@@ -11,10 +11,15 @@ the per-sample optima, then fit the best structure for those leaves via
 cut generation (``h_sol``); or alternate the two improvement passes from
 a random start until the objective stops decreasing (``h_alt``).  Each
 pass searches a space containing the incumbent, so within one restart the
-pass objectives never increase.  ``h1`` is the no-tree baseline: the
-single solution minimizing the summed training costs.  A constant policy
-routes every observation to the same leaf, so its worst-case objective
-equals its nominal objective under any budget.
+pass objectives never increase.  The three share one restart loop that
+keeps the best round.  Leaves are filled from a pool of solutions (by
+default the whole feasible set, so ``h_tree`` and ``h_alt`` never end
+above ``h1``): per sample for a per-sample budget, and for a shared
+budget by the package's one cut-generation loop, run over leaf
+assignments instead of split structures.  ``h1`` is the no-tree
+baseline: the single solution minimizing the summed training costs.  A
+constant policy routes every observation to the same leaf, so its
+worst-case objective equals its nominal objective under any budget.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import numpy as np
 
 from . import adversary, kernels
 from .errors import ConvergenceStall, NoSplitAvailable
-from .exact import SolveReport, robust_value, scenario_generation
-from .model import (EPSILON, OBJECTIVE_TOL, DecisionTree,
+from .exact import (SolveReport, _assign_leaves, _cut_generation,
+                    scenario_generation)
+from .model import (EPSILON, OBJECTIVE_TOL, DecisionTree, UncertaintyBudget,
                     assignment_objective, build_threshold_catalog,
                     leaf_values)
 
@@ -38,10 +44,6 @@ _INNER_PASS_CAP = 1000
 class HeuristicConfig:
     """Knobs shared by the randomized heuristics.
 
-    ``pool`` selects the candidate solutions leaves are filled from:
-    ``"enumerate"`` uses every feasible solution (exact leaf subproblem,
-    so h_tree and h_alt can never end above h1), ``"per-sample"`` uses
-    the deduplicated per-sample optima plus the aggregate optimum.
     ``max_rounds`` caps restarts regardless of time, mainly for
     deterministic tests; ``None`` means run until ``time_limit``.
     """
@@ -49,12 +51,9 @@ class HeuristicConfig:
     depth: int = 2
     time_limit: float = 60.0
     seed: int = 0
-    pool: str = "enumerate"
     max_rounds: int | None = None
 
     def __post_init__(self):
-        if self.pool not in ("enumerate", "per-sample"):
-            raise ValueError(f"unknown pool policy {self.pool!r}")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         if not self.time_limit > 0:
@@ -63,30 +62,17 @@ class HeuristicConfig:
             raise ValueError("max_rounds must be >= 1 when given")
 
 
-def _dedup_rows(rows):
-    seen = set()
-    keep = []
-    for row in rows:
-        arr = np.asarray(row, dtype=np.int8)
-        key = arr.tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(arr)
-    return np.asarray(keep, dtype=np.int8)
-
-
 def per_sample_optima(dataset, space):
     """Deduplicated optimal solutions of the individual samples, in
     first-occurrence order."""
-    return _dedup_rows(space.min_linear(c)[0] for c in dataset.costs)
-
-
-def _candidate_pool(dataset, space, config):
-    if config.pool == "enumerate":
-        return space.enumerate()
-    sols = [space.min_linear(c)[0] for c in dataset.costs]
-    sols.append(space.min_linear(dataset.costs.sum(axis=0))[0])
-    return _dedup_rows(sols)
+    seen = set()
+    keep = []
+    for c in dataset.costs:
+        x = np.asarray(space.min_linear(c)[0], dtype=np.int8)
+        if x.tobytes() not in seen:
+            seen.add(x.tobytes())
+            keep.append(x)
+    return np.asarray(keep, dtype=np.int8)
 
 
 def h1(dataset, space):
@@ -146,38 +132,20 @@ def optimize_leaves_global(tree, dataset, gamma, pool, eps=EPSILON,
     On timeout the incumbent and its exact worst case are returned
     without the optimality guarantee.
     """
-    start = time.perf_counter()
     pool = np.asarray(pool, dtype=np.int8)
-    costs = dataset.costs
-    n_leaves = tree.n_leaves
-    values = np.ascontiguousarray(costs @ pool.astype(np.float64).T)
-    xis = [np.zeros_like(costs)]
-    while True:
-        routings = np.stack([tree.traverse_batch(costs + xi) for xi in xis])
-        if bool((routings == routings[0]).all()):
-            pick = np.zeros(n_leaves, dtype=np.int64)
-            master = 0.0
-            for k in range(n_leaves):
-                colsum = values[routings[0] == k].sum(axis=0)
-                pick[k] = int(np.argmin(colsum))
-                master += float(colsum[pick[k]])
-        else:
-            agg = np.zeros((len(xis), n_leaves, values.shape[1]))
-            for s in range(len(xis)):
-                for k in range(n_leaves):
-                    agg[s, k] = values[routings[s] == k].sum(axis=0)
-            master, pick = kernels.assign_minmax(agg, agg.min(axis=2))
-        refined = tree.with_leaves(pool[pick])
-        adv = adversary.solve_global(refined, dataset, gamma, eps)
-        if adv.objective - master <= tol:
-            return refined, adv.objective
-        if (time_limit is not None
-                and time.perf_counter() - start > time_limit):
-            return refined, adv.objective
-        if any(np.all(np.abs(xi - adv.xi) <= dup_tol) for xi in xis):
-            raise ConvergenceStall(
-                "worst-case scenario repeated without convergence")
-        xis.append(adv.xi)
+    values = np.ascontiguousarray(
+        dataset.costs @ pool.astype(np.float64).T)
+
+    def master(scenarios, remaining):
+        obs = dataset.costs + scenarios.xi
+        leafm = tree.traverse_batch(obs.reshape(-1, dataset.n_items))
+        value, pick = _assign_leaves(values, leafm.reshape(obs.shape[:2]),
+                                     tree.n_leaves)
+        return tree.with_leaves(pool[pick]), value, True
+
+    rep = _cut_generation(master, dataset, UncertaintyBudget.global_(gamma),
+                          time_limit, tol, eps, dup_tol)
+    return rep.tree, rep.objective
 
 
 def _optimize_leaves(tree, dataset, budget, pool, eps, time_limit):
@@ -187,44 +155,66 @@ def _optimize_leaves(tree, dataset, budget, pool, eps, time_limit):
                                   time_limit=time_limit)
 
 
+def _restarts(method, config, start, one_round):
+    """Run ``one_round(remaining)`` until ``config.max_rounds`` rounds or
+    ``config.time_limit`` seconds since ``start``; keep the best round.
+
+    A round returns ``(tree, objective)``, or ``None`` when it was dropped.
+    ``remaining()`` gives the seconds left.  Raises
+    :class:`ConvergenceStall` when every round was dropped.
+    """
+    def remaining():
+        return config.time_limit - (time.perf_counter() - start)
+
+    best_tree = None
+    best = np.inf
+    rounds = 0
+    while config.max_rounds is None or rounds < config.max_rounds:
+        rounds += 1
+        got = one_round(remaining)
+        if got is not None and got[1] < best:
+            best_tree, best = got
+        if remaining() <= 0:
+            break
+    if best_tree is None:
+        raise ConvergenceStall(f"the cut generation of all {rounds} rounds "
+                               "stalled")
+    return SolveReport(method, best_tree, best, best, rounds,
+                       time.perf_counter() - start, True, False,
+                       extras={"rounds": rounds})
+
+
+def _random_fill(dataset, budget, space, config, catalog, pool, eps):
+    """Round start of ``h_tree`` and ``h_alt``.
+
+    Returns ``(catalog, pool, fill)``; ``fill(remaining)`` draws a random
+    structure and gives it its best leaves from the pool, returning the
+    tree and its worst case.
+    """
+    rng = np.random.default_rng(config.seed)
+    if catalog is None:
+        catalog = build_threshold_catalog(dataset)
+    pool = np.asarray(space.enumerate() if pool is None else pool,
+                      dtype=np.int8)
+    stub = np.repeat(pool[:1], 2 ** config.depth, axis=0)
+
+    def fill(remaining):
+        items, thetas = sample_random_structure(catalog, config.depth, rng)
+        base = DecisionTree(config.depth, items, thetas, stub)
+        return _optimize_leaves(base, dataset, budget, pool, eps,
+                                remaining())
+
+    return catalog, pool, fill
+
+
 def h_tree(dataset, budget, space, config=None, catalog=None, pool=None,
            eps=EPSILON):
     """Random structures, exact leaves; keep the best tree found."""
     config = config if config is not None else HeuristicConfig()
     start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    if catalog is None:
-        catalog = build_threshold_catalog(dataset)
-    if pool is None:
-        pool = _candidate_pool(dataset, space, config)
-    pool = np.asarray(pool, dtype=np.int8)
-    stub = np.repeat(pool[:1], 2 ** config.depth, axis=0)
-    best_tree = None
-    best = np.inf
-    rounds = 0
-    while True:
-        rounds += 1
-        items, thetas = sample_random_structure(catalog, config.depth, rng)
-        base = DecisionTree(config.depth, items, thetas, stub)
-        remaining = config.time_limit - (time.perf_counter() - start)
-        tree, obj = _optimize_leaves(base, dataset, budget, pool, eps,
-                                     remaining)
-        if obj < best:
-            best = obj
-            best_tree = tree
-        if config.max_rounds is not None and rounds >= config.max_rounds:
-            break
-        if time.perf_counter() - start >= config.time_limit:
-            break
-    return SolveReport("Htree", best_tree, best, best, rounds,
-                       time.perf_counter() - start, True, False,
-                       extras={"rounds": rounds})
-
-
-def _certified_value(report, dataset, budget, eps):
-    if report.converged:
-        return report.objective
-    return robust_value(report.tree, dataset, budget, eps)
+    _, _, fill = _random_fill(dataset, budget, space, config, catalog, pool,
+                              eps)
+    return _restarts("Htree", config, start, fill)
 
 
 def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
@@ -243,35 +233,18 @@ def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
         catalog = build_threshold_catalog(dataset)
     optima = per_sample_optima(dataset, space)
     n_leaves = 2 ** config.depth
-    best_tree = None
-    best = np.inf
-    rounds = 0
-    while True:
-        rounds += 1
-        draw = rng.integers(len(optima), size=n_leaves)
-        fixed = optima[draw]
-        remaining = config.time_limit - (time.perf_counter() - start)
+
+    def one_round(remaining):
+        fixed = optima[rng.integers(len(optima), size=n_leaves)]
         try:
             rep = scenario_generation(dataset, budget, space, config.depth,
                                       catalog=catalog, fixed_leaves=fixed,
-                                      time_limit=remaining, eps=eps)
+                                      time_limit=remaining(), eps=eps)
         except ConvergenceStall:
-            pass
-        else:
-            obj = _certified_value(rep, dataset, budget, eps)
-            if obj < best:
-                best = obj
-                best_tree = rep.tree
-        if config.max_rounds is not None and rounds >= config.max_rounds:
-            break
-        if time.perf_counter() - start >= config.time_limit:
-            break
-    if best_tree is None:
-        raise ConvergenceStall(f"the cut generation of all {rounds} rounds "
-                               "stalled")
-    return SolveReport("Hsol", best_tree, best, best, rounds,
-                       time.perf_counter() - start, True, False,
-                       extras={"rounds": rounds})
+            return None
+        return rep.tree, rep.objective
+
+    return _restarts("Hsol", config, start, one_round)
 
 
 def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
@@ -290,28 +263,14 @@ def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
     """
     config = config if config is not None else HeuristicConfig()
     start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    if catalog is None:
-        catalog = build_threshold_catalog(dataset)
-    if pool is None:
-        pool = _candidate_pool(dataset, space, config)
-    pool = np.asarray(pool, dtype=np.int8)
-    stub = np.repeat(pool[:1], 2 ** config.depth, axis=0)
-
-    def remaining():
-        return config.time_limit - (time.perf_counter() - start)
-
-    best_tree = None
-    best = np.inf
-    rounds = 0
+    catalog, pool, fill = _random_fill(dataset, budget, space, config,
+                                       catalog, pool, eps)
     all_passes = []
-    while True:
-        rounds += 1
-        items, thetas = sample_random_structure(catalog, config.depth, rng)
-        base = DecisionTree(config.depth, items, thetas, stub)
-        tree, cur = _optimize_leaves(base, dataset, budget, pool, eps,
-                                     remaining())
+
+    def one_round(remaining):
+        tree, cur = fill(remaining)
         passes = [cur]
+        all_passes.append(passes)
         for _ in range(_INNER_PASS_CAP):
             try:
                 rep = scenario_generation(dataset, budget, space,
@@ -320,31 +279,19 @@ def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
                                           time_limit=remaining(), eps=eps)
             except ConvergenceStall:
                 break
-            val_b = _certified_value(rep, dataset, budget, eps)
-            passes.append(val_b)
-            if val_b > cur + OBJECTIVE_TOL:
+            passes.append(rep.objective)
+            if rep.objective > cur + OBJECTIVE_TOL:
                 break
             tree_c, val_c = _optimize_leaves(rep.tree, dataset, budget,
                                              pool, eps, remaining())
             passes.append(val_c)
-            if val_c <= cur:
-                tree, converged_gap = tree_c, cur - val_c
-                cur = val_c
-                if converged_gap <= OBJECTIVE_TOL:
-                    break
-            else:
+            if val_c > cur:
                 break
-            if remaining() <= 0:
+            tree, cur, gain = tree_c, val_c, cur - val_c
+            if gain <= OBJECTIVE_TOL or remaining() <= 0:
                 break
-        all_passes.append(passes)
-        if cur < best:
-            best = cur
-            best_tree = tree
-        if config.max_rounds is not None and rounds >= config.max_rounds:
-            break
-        if time.perf_counter() - start >= config.time_limit:
-            break
-    return SolveReport("Halt", best_tree, best, best, rounds,
-                       time.perf_counter() - start, True, False,
-                       extras={"rounds": rounds,
-                               "pass_objectives": all_passes})
+        return tree, cur
+
+    rep = _restarts("Halt", config, start, one_round)
+    rep.extras["pass_objectives"] = all_passes
+    return rep

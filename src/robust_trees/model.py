@@ -292,19 +292,3 @@ def nominal_objective(tree, dataset):
     values = leaf_values(dataset, tree)
     return assignment_objective(values, tree.traverse_batch(dataset.costs))
 
-
-def evaluate_robust(tree, dataset, budget, space=None, eps=EPSILON):
-    """Worst-case objective under the given budget kind.
-
-    When ``space`` is passed, the tree's leaves are checked against it
-    first.  Delegates to the exact adversary searches.
-    """
-    from . import adversary
-
-    if space is not None:
-        for k in range(tree.n_leaves):
-            if not space.is_feasible(tree.leaves[k]):
-                raise ValueError(f"leaf {k} is not feasible in the given space")
-    if budget.kind == "local":
-        return adversary.solve_local(tree, dataset, budget.gamma, eps).objective
-    return adversary.solve_global(tree, dataset, budget.gamma, eps).objective

@@ -9,6 +9,9 @@ is exhaustive enumeration.  Only trivial accessors of the package
 ``scan_structures_free`` and ``scan_structures_fixed`` are the
 one-structure-at-a-time loops that ``robust_trees.kernels`` evaluates in
 NumPy blocks; the kernels must return bitwise the same results.
+``brute_force_global`` checks the shared-budget knapsack search alone: it
+walks every assignment over the package's own effort matrix and breaks
+ties the way the search does, so the two objectives must agree exactly.
 """
 
 import itertools
@@ -95,6 +98,64 @@ def adversary_global(tree, dataset, gamma, eps):
         if spent <= gamma:
             best = max(best, sum(vals[j, assign[j]] for j in range(n)))
     return best
+
+
+BRUTE_FORCE_CAP = 10 ** 7
+
+
+def brute_force_global(tree, dataset, gamma, eps=1e-3, cap=BRUTE_FORCE_CAP):
+    """Exhaustive reference for ``robust_trees.solve_global``.
+
+    Walks every feasible assignment (each sample to any leaf with effort
+    <= gamma), pruning only on budget infeasibility, keeping the first
+    strict maximum.  Candidate order per sample is the nominal leaf first,
+    then leaves by index, so ties resolve the same way as the search.
+    """
+    from robust_trees import (AdversaryResult, CapExceeded, leaf_values,
+                              perturbation_cost, reconstruct_perturbation)
+
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    eff = perturbation_cost(tree, dataset, eps)
+    values = leaf_values(dataset, tree)
+    options = []
+    total = 1
+    for j in range(dataset.n_samples):
+        opts = [int(eff.nominal_leaf[j])]
+        opts += [k for k in range(tree.n_leaves)
+                 if k != eff.nominal_leaf[j] and eff.rho[j, k] <= gamma]
+        options.append(opts)
+        total *= len(opts)
+        if total > cap:
+            raise CapExceeded(
+                f"assignment count exceeds the brute-force cap of {cap}")
+
+    n = dataset.n_samples
+    best_val = -math.inf
+    best = None
+    chosen = np.zeros(n, dtype=np.int64)
+
+    def recurse(j, spent, value):
+        nonlocal best_val, best
+        if j == n:
+            if value > best_val:
+                best_val = value
+                best = chosen.copy()
+            return
+        for k in options[j]:
+            extra = eff.rho[j, k]
+            if spent + extra <= gamma:
+                chosen[j] = k
+                recurse(j + 1, spent + extra, value + values[j, k])
+
+    recurse(0, 0.0, 0.0)
+    rows = np.arange(n)
+    return AdversaryResult(
+        objective=float(values[rows, best].sum()),
+        assignment=best,
+        xi=reconstruct_perturbation(tree, dataset, best, eps),
+        effort=float(eff.rho[rows, best].sum()),
+    )
 
 
 def adversary_value(tree, dataset, budget, eps):

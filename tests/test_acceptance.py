@@ -21,7 +21,6 @@ from robust_trees import (
     InstanceSpec,
     PI_GRID,
     UncertaintyBudget,
-    brute_force_global,
     build_threshold_catalog,
     compute_budget,
     evaluate_robust,
@@ -108,8 +107,8 @@ def test_criterion_1_worked_example_goldens(demo_dataset, demo_space,
         assert nominal_objective(depth2_tree, demo_dataset) == 36.0
         assert solve_global(depth1_tree, demo_dataset, 5.0).objective == 50.0
         deep = solve_global(depth2_tree, demo_dataset, 5.0).objective
-        assert deep == brute_force_global(depth2_tree, demo_dataset,
-                                          5.0).objective
+        assert deep == oracles.brute_force_global(depth2_tree, demo_dataset,
+                                                  5.0).objective
         assert deep == oracles.adversary_global(depth2_tree, demo_dataset,
                                                 5.0, eps=1e-3)
         assert deep == 43.0
@@ -118,7 +117,7 @@ def test_criterion_1_worked_example_goldens(demo_dataset, demo_space,
 def test_criterion_2_adversary_matches_oracles(adversary_pool):
     with criterion(2, "200 random adversary solves match brute force"):
         for ds, tree, gamma, loc, glo in adversary_pool:
-            brute = brute_force_global(tree, ds, gamma)
+            brute = oracles.brute_force_global(tree, ds, gamma)
             assert glo.objective == brute.objective
             vals = leaf_values(ds, tree)
             eff = exact.adversary.perturbation_cost(tree, ds)

@@ -11,7 +11,6 @@ from robust_trees import (
     InfeasibleTarget,
     InstanceSpec,
     UncertaintyBudget,
-    brute_force_global,
     build_threshold_catalog,
     generate_instance,
     leaf_values,
@@ -212,7 +211,7 @@ class TestSolveGlobal:
                                    depth=int(rng.integers(1, 3)))
             gamma = float(rng.uniform(0, 6))
             fast = solve_global(tree, ds, gamma)
-            brute = brute_force_global(tree, ds, gamma)
+            brute = oracles.brute_force_global(tree, ds, gamma)
             assert fast.objective == brute.objective
 
     def test_matches_reference(self):
@@ -246,7 +245,7 @@ class TestSolveGlobal:
         rng = np.random.default_rng(65)
         ds, tree = random_case(rng, n_samples=13, n_items=4, depth=2)
         with pytest.raises(CapExceeded):
-            brute_force_global(tree, ds, 1e6)
+            oracles.brute_force_global(tree, ds, 1e6)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import SOLUTION_A, SOLUTION_B
@@ -26,7 +28,7 @@ from robust_trees import (
     scenario_generation,
     solve_master,
 )
-from robust_trees import exact
+from robust_trees import adversary, exact
 from robust_trees.adversary import AdversaryResult
 
 
@@ -123,6 +125,32 @@ class TestSolveMaster:
             solve_master(flat, scen, demo_space, depth=1)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n_pool=st.integers(1, 4), n_leaves=st.integers(2, 4),
+       n_scen=st.integers(1, 3), n_samples=st.integers(1, 6),
+       uniform=st.booleans())
+def test_assign_leaves_matches_exhaustive(data, n_pool, n_leaves, n_scen,
+                                          n_samples, uniform):
+    values = np.array(data.draw(st.lists(
+        st.lists(st.floats(0.0, 10.0), min_size=n_pool, max_size=n_pool),
+        min_size=n_samples, max_size=n_samples)))
+    routes = data.draw(st.lists(
+        st.lists(st.integers(0, n_leaves - 1), min_size=n_samples,
+                 max_size=n_samples),
+        min_size=1 if uniform else n_scen, max_size=1 if uniform else n_scen))
+    leafm = np.array(routes * n_scen if uniform else routes, dtype=np.int64)
+
+    def worst(tup):
+        return max(sum(values[j, tup[leafm[s, j]]] for j in range(n_samples))
+                   for s in range(n_scen))
+
+    ref = min(worst(tup)
+              for tup in itertools.product(range(n_pool), repeat=n_leaves))
+    obj, tup = exact._assign_leaves(values, leafm, n_leaves)
+    assert obj == pytest.approx(ref, abs=1e-9)
+    assert worst(tup) == pytest.approx(obj, abs=1e-9)
+
+
 class TestScenarioGeneration:
     def test_demo_global_budget(self, demo_dataset, demo_space):
         rep = scenario_generation(demo_dataset,
@@ -158,10 +186,28 @@ class TestScenarioGeneration:
                                    assignment=np.zeros(5, dtype=np.int64),
                                    xi=xi, effort=5.0)
 
-        monkeypatch.setattr(exact, "_adversary_result", stuck_adversary)
+        monkeypatch.setattr(adversary, "worst_case", stuck_adversary)
         with pytest.raises(ConvergenceStall):
             scenario_generation(demo_dataset, UncertaintyBudget.local(1.0),
                                 demo_space, depth=1)
+
+    def test_master_timeout_reports_exact_worst_case(self, demo_dataset,
+                                                     demo_space,
+                                                     monkeypatch):
+        real = exact.solve_master
+
+        def timed_out_master(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            rep.optimal = rep.converged = False
+            return rep
+
+        monkeypatch.setattr(exact, "solve_master", timed_out_master)
+        budget = UncertaintyBudget.global_(5.0)
+        rep = scenario_generation(demo_dataset, budget, demo_space, depth=2)
+        assert not rep.converged and not rep.optimal
+        assert rep.iterations == 1
+        assert rep.master_objective == rep.extras["master_objectives"][0]
+        assert rep.objective == robust_value(rep.tree, demo_dataset, budget)
 
     def test_time_limit_returns_incumbent(self, demo_dataset, demo_space):
         rep = scenario_generation(demo_dataset,

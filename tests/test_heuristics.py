@@ -41,13 +41,11 @@ class TestHeuristicConfig:
     def test_defaults(self):
         cfg = HeuristicConfig()
         assert (cfg.depth, cfg.time_limit, cfg.seed) == (2, 60.0, 0)
-        assert cfg.pool == "enumerate"
         assert cfg.max_rounds is None
 
     @pytest.mark.parametrize("kwargs", [
         {"depth": -1},
         {"time_limit": 0.0},
-        {"pool": "everything"},
         {"max_rounds": 0},
     ])
     def test_validation(self, kwargs):
@@ -120,15 +118,15 @@ class TestOptimizeLeaves:
 
     def test_global_matches_enumeration(self):
         rng = np.random.default_rng(72)
-        for _ in range(6):
+        for depth in (1,) * 6 + (2,) * 3:
             ds, space = small_instance(int(rng.integers(100)))
             pool = per_sample_optima(ds, space)
             catalog = build_threshold_catalog(ds)
-            items, thetas = sample_random_structure(catalog, 1, rng)
-            base = np.zeros((2, ds.n_items), dtype=np.int8)
+            items, thetas = sample_random_structure(catalog, depth, rng)
+            base = np.zeros((2 ** depth, ds.n_items), dtype=np.int8)
             from robust_trees import DecisionTree
 
-            tree = DecisionTree(1, items, thetas, base)
+            tree = DecisionTree(depth, items, thetas, base)
             gamma = float(rng.uniform(0, 3))
             fitted, value = optimize_leaves_global(tree, ds, gamma, pool)
             best = oracles.best_leaf_fill_value(
