@@ -25,10 +25,12 @@ from robust_trees import (
     InstanceSpec,
     ScenarioSet,
     build_threshold_catalog,
+    compute_budget,
     generate_instance,
     optimize_leaves_local,
     per_sample_optima,
     perturbation_cost,
+    post_process,
     sample_random_structure,
     solve_global,
     solve_master,
@@ -103,6 +105,20 @@ def bench_structure_scan_fixed():
     solve_master(ds, scen, space, depth=2, fixed_leaves=leaves)
 
 
+def bench_post_process_depth2():
+    inst = generate_instance(InstanceSpec(grid_side=4, n_train=5, n_test=1,
+                                          seed=6))
+    ds, space = inst.train, inst.space
+    rng = np.random.default_rng(6)
+    items, thetas = sample_random_structure(build_threshold_catalog(ds), 2,
+                                            rng)
+    optima = per_sample_optima(ds, space)
+    tree = DecisionTree(2, items, thetas,
+                        optima[rng.integers(len(optima), size=4)])
+    for kind in ("local", "global"):
+        post_process(tree, ds, compute_budget(ds, 0.1, 2, kind))
+
+
 BENCHMARKS = [
     ("grid_min_path", bench_grid_min_path),
     ("perturbation_cost", bench_perturbation_cost),
@@ -110,6 +126,7 @@ BENCHMARKS = [
     ("leaf_assignment", bench_leaf_assignment),
     ("structure_scan", bench_structure_scan),
     ("structure_scan_fixed", bench_structure_scan_fixed),
+    ("post_process_depth2", bench_post_process_depth2),
 ]
 
 

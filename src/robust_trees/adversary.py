@@ -9,19 +9,27 @@ in for strict inequality).  When one item appears on the path several
 times the constraints intersect; an empty intersection makes the leaf
 unreachable (effort +inf) for every sample.
 
-``solve_local`` gives every sample its own budget and decomposes into
-per-sample argmaxes.  ``solve_global`` shares one budget across samples —
-a multiple-choice knapsack solved exactly by branch and bound (see
-``kernels.mckp_search``).  ``worst_case`` is the package's one entry
-point for a budget: the only place that picks between the two by the
-budget's kind (cut generation, ``robust_value`` and ``evaluate_robust``
-go through it).  Each solve also builds the witness shift and replays it
-through the tree.
+A per-sample budget (``solve_local``) decomposes into per-sample
+argmaxes.  A shared budget (``solve_global``) is a multiple-choice
+knapsack solved exactly by branch and bound (see ``kernels.mckp_search``).
+Both run in one pass over a batch of threshold rows for one tree
+structure (items, leaves and depth fixed): ``worst_cases`` evaluates every
+row at once, building the boxes, the nominal routing and the effort
+matrix (``kernels.effort_matrix``) for the whole batch and the leaf values
+once.  The per-sample adversary is vectorized over rows; the shared-budget
+search runs once per row on that row's slice.  Every row's witness shift
+is rebuilt and replayed through its tree in one batched pass.
+``worst_case`` (the package's one entry point for a budget: cut
+generation, ``robust_value`` and ``evaluate_robust`` go through it),
+``solve_local``, ``solve_global``, ``perturbation_cost`` and
+``reconstruct_perturbation`` are the one-row case of the same code.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,29 +57,112 @@ class AdversaryResult:
     effort: float
 
 
-def _leaf_boxes(tree, eps):
-    """Per leaf: item bounds implied by its path, or None if contradictory.
+class _Layout(NamedTuple):
+    """Paths and box slots of the leaves of one tree structure.
 
-    Returns a list over leaves of dicts item -> (lo, hi); a leaf whose
-    bounds are empty (lo > hi) maps to None.
+    ``node[k, s]`` is the node at step s of leaf k's root path,
+    ``right[k, s]`` whether the path turns right there and
+    ``step_item[k, s]`` the item that node tests.  Slot p of leaf k bounds
+    ``item[k, p]``: a leaf's slots hold its path items in increasing order,
+    and ``lo_on[k, p, s]`` / ``hi_on[k, p, s]`` mark the right / left
+    turns on the slot's item.  Only the first slot of an item is bound; a
+    repeat of the item is an open slot.
     """
-    boxes = []
-    for k in range(tree.n_leaves):
-        bounds = {}
-        ok = True
-        for node, go_right in tree.path(k):
-            i = int(tree.items[node])
-            theta = float(tree.thresholds[node])
-            lo, hi = bounds.get(i, (-np.inf, np.inf))
-            if go_right:
-                lo = max(lo, theta + eps)
-            else:
-                hi = min(hi, theta)
-            bounds[i] = (lo, hi)
-            if lo > hi:
-                ok = False
-        boxes.append(bounds if ok else None)
-    return boxes
+
+    node: np.ndarray
+    right: np.ndarray
+    step_item: np.ndarray
+    item: np.ndarray
+    lo_on: np.ndarray
+    hi_on: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _paths(depth):
+    """Per leaf of a depth-``depth`` tree: the node at each step of its
+    root path and whether the path turns right there."""
+    leaf = np.arange(2 ** depth)[:, None]
+    right = (leaf >> np.arange(depth - 1, -1, -1)) & 1 == 1
+    node = np.zeros(right.shape, np.int64)
+    for s in range(1, depth):
+        node[:, s] = 2 * node[:, s - 1] + 1 + right[:, s - 1]
+    paths = node, right, right[:, None, :], ~right[:, None, :]
+    for arr in paths:
+        arr.setflags(write=False)
+    return paths
+
+
+def _layout(depth, items):
+    """The :class:`_Layout` of the structure with these level-order items."""
+    node, right, turns_right, turns_left = _paths(depth)
+    step_item = items[node]
+    item = np.sort(step_item, axis=1)
+    first = np.ones(item.shape, bool)
+    first[:, 1:] = item[:, 1:] != item[:, :-1]
+    on = (step_item[:, None, :] == item[:, :, None]) & first[:, :, None]
+    return _Layout(node, right, step_item, item, on & turns_right,
+                   on & turns_left)
+
+
+class _Boxes(NamedTuple):
+    """Leaf boxes of one tree structure under a batch of threshold rows.
+
+    ``theta[r, k, s]`` is row r's threshold at step s of leaf k's path.
+    Slot p of leaf k bounds observation ``layout.item[k, p]`` to
+    ``[lo[r, k, p], hi[r, k, p]]``; an open slot is (-inf, inf).  A leaf
+    whose box is empty has lo > hi in some slot.
+    """
+
+    layout: _Layout
+    theta: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _boxes(tree, thresholds, eps):
+    """Boxes of every leaf of ``tree``'s structure under each threshold row.
+
+    Each bound slot intersects every branch of the path on its item: right
+    branches demand obs >= theta + eps, left ones obs <= theta.
+    """
+    layout = _layout(tree.depth, tree.items)
+    theta = thresholds[:, layout.node]
+    steps = theta[:, :, None, :]
+    lo = np.where(layout.lo_on, steps + eps, -np.inf).max(axis=3,
+                                                          initial=-np.inf)
+    hi = np.where(layout.hi_on, steps, np.inf).min(axis=3, initial=np.inf)
+    return _Boxes(layout, theta, lo, hi)
+
+
+def _follows(obs, theta, right):
+    """Whether observations take the turns ``right`` along a path.
+
+    ``obs``, ``theta`` and ``right`` hold, along their last axis, the
+    observed value of each step's item, its threshold and its turn; an
+    observation goes right exactly where it is > theta, as in
+    ``DecisionTree.traverse_batch``.  A traversal reaches a leaf exactly
+    when it follows that leaf's path.
+    """
+    return ((obs > theta) == right).all(axis=-1)
+
+
+def _nominal(costs, boxes):
+    """Leaf each unshifted sample reaches under each row (rows, samples)."""
+    layout = boxes.layout
+    return _follows(costs[:, layout.step_item], boxes.theta[:, None],
+                    layout.right).argmax(axis=2)
+
+
+def _efforts(tree, thresholds, dataset, eps):
+    """Boxes, nominal leaves (rows, samples) and efforts (rows, samples,
+    leaves) of ``tree`` under each threshold row."""
+    if dataset.n_items != tree.n_items:
+        raise ValueError("dataset and tree disagree on the number of items")
+    boxes = _boxes(tree, thresholds, eps)
+    nominal = _nominal(dataset.costs, boxes)
+    rho = kernels.effort_matrix(dataset.costs, boxes.layout.item, boxes.lo,
+                                boxes.hi, nominal)
+    return boxes, nominal, rho
 
 
 def perturbation_cost(tree, dataset, eps=EPSILON):
@@ -80,159 +171,113 @@ def perturbation_cost(tree, dataset, eps=EPSILON):
     The zero shift reaches the nominal leaf even when an observation lies
     less than ``eps`` above a threshold, outside that leaf's box.
     """
-    if dataset.n_items != tree.n_items:
-        raise ValueError("dataset and tree disagree on the number of items")
-    boxes = _leaf_boxes(tree, eps)
-    items = []
-    los = []
-    his = []
-    ptr = [0]
-    ok = []
-    for bounds in boxes:
-        if bounds is None:
-            ok.append(False)
-        else:
-            ok.append(True)
-            for i, (lo, hi) in sorted(bounds.items()):
-                items.append(i)
-                los.append(lo)
-                his.append(hi)
-        ptr.append(len(items))
-    rho = kernels.effort_matrix(
-        dataset.costs,
-        np.asarray(items, dtype=np.int64),
-        np.asarray(los, dtype=np.float64),
-        np.asarray(his, dtype=np.float64),
-        np.asarray(ptr, dtype=np.int64),
-        np.asarray(ok, dtype=np.uint8),
-    )
-    nominal = tree.traverse_batch(dataset.costs)
-    rho[np.arange(dataset.n_samples), nominal] = 0.0
-    return PerturbationEffort(rho, nominal, eps)
+    _, nominal, rho = _efforts(tree, tree.thresholds[None], dataset, eps)
+    return PerturbationEffort(rho[0], nominal[0], eps)
 
 
-def reconstruct_perturbation(tree, dataset, assignment, eps=EPSILON):
-    """Minimal witness shift routing each sample to its assigned leaf.
+def _shifts(costs, boxes, empty, assignment):
+    """Shifts (rows, samples, items) clamping each sample into its target box.
 
-    Per sample and constrained item the observation is clamped to the
-    nearest edge of the target leaf's box, so the L1 norm equals the
-    effort (up to rounding in the final addition) and the shifted
-    observation traverses to the assigned leaf.  ``cost + (edge - cost)``
-    can land an ulp above an upper edge, which would flip the branch;
-    the shift is then stepped down until the sum respects the edge.  An
-    ulp below a lower edge is harmless because lower edges carry the
-    ``eps`` routing margin.  Samples assigned to their nominal leaf keep
-    a zero shift, matching their zero effort, also when they lie inside
-    that margin.  Raises :class:`InfeasibleTarget` for contradictory
-    targets.
+    Per sample and constrained item the observation moves to the nearest
+    edge of the box, so the L1 norm equals the effort (up to rounding in
+    the final addition).  ``cost + (edge - cost)`` can land an ulp above
+    an upper edge, which would flip the branch; the shift is then stepped
+    down until the sum respects the edge.  An ulp below a lower edge is
+    harmless because lower edges carry the ``eps`` routing margin.  An
+    empty box (``empty[r, k]``) has no edge: its samples are not shifted.
     """
-    assignment = np.asarray(assignment, dtype=np.int64)
-    boxes = _leaf_boxes(tree, eps)
-    xi = np.zeros_like(dataset.costs)
-    # Samples the zero shift may already route to their leaf: each clamp
-    # is onto a lower edge and within the eps margin, or the box is empty.
-    # The screen allows 2 * eps against rounding; a traversal decides.
-    maybe_nominal = []
-    for j, k in enumerate(assignment):
-        bounds = boxes[int(k)]
-        if bounds is None:
-            maybe_nominal.append(j)
-            continue
-        in_margin = True
-        shifted = False
-        for i, (lo, hi) in bounds.items():
-            cji = dataset.costs[j, i]
-            if cji < lo:
-                xi[j, i] = lo - cji
-                shifted = True
-                in_margin = in_margin and lo - cji < 2.0 * eps
-            elif cji > hi:
-                shift = hi - cji
-                for _ in range(64):
-                    if cji + shift <= hi:
-                        break
-                    shift = np.nextafter(shift, -np.inf)
-                else:
-                    raise InfeasibleTarget(
-                        f"cannot place item {i} under {hi}")
-                xi[j, i] = shift
-                shifted = True
-                in_margin = False
-        if shifted and in_margin:
-            maybe_nominal.append(j)
-    if maybe_nominal:
-        rows = np.asarray(maybe_nominal)
-        nominal = tree.traverse_batch(dataset.costs[rows])
-        xi[rows[nominal == assignment[rows]]] = 0.0
-    routed = tree.traverse_batch(dataset.costs + xi)
-    if not np.array_equal(routed, assignment):
-        for k in assignment[routed != assignment]:
-            if boxes[int(k)] is None:
+    rows = np.arange(assignment.shape[0])[:, None]
+    cols = np.arange(costs.shape[0])
+    lo = boxes.lo[rows, assignment]
+    hi = boxes.hi[rows, assignment]
+    item = boxes.layout.item[assignment]
+    cost = costs[cols[:, None], item]
+    fits = ~empty[rows, assignment][:, :, None]
+    above = (cost > hi) & fits
+    shift = np.where((cost < lo) & fits, lo - cost,
+                     np.where(above, hi - cost, 0.0))
+    for _ in range(64):
+        over = above & (cost + shift > hi)
+        if not over.any():
+            break
+        shift = np.where(over, np.nextafter(shift, -np.inf), shift)
+    else:
+        r, j, p = np.argwhere(over)[0]
+        raise InfeasibleTarget(
+            f"cannot place item {item[r, j, p]} under {hi[r, j, p]}")
+    xi = np.zeros((assignment.shape[0],) + costs.shape)
+    # an open slot's shift is +0.0 and leaves its item's shift as is
+    np.add.at(xi, (rows[:, :, None], cols[:, None], item), shift)
+    return xi
+
+
+def _witnesses(costs, boxes, nominal, assignment):
+    """Minimal witness shifts (rows, samples, items), replayed.
+
+    Samples assigned to their nominal leaf keep a zero shift, matching
+    their zero effort, also when they lie inside the ``eps`` margin; the
+    others are clamped into their target box (:func:`_shifts`).  Every
+    shifted observation is replayed along its target leaf's path; a target
+    the shift does not reach raises :class:`InfeasibleTarget`.
+    """
+    empty = (boxes.lo > boxes.hi).any(axis=2)
+    xi = _shifts(costs, boxes, empty, assignment)
+    xi[assignment == nominal] = 0.0
+    rows = np.arange(len(xi))[:, None, None]
+    cols = np.arange(costs.shape[0])[:, None]
+    step_item = boxes.layout.step_item[assignment]
+    obs = costs[cols, step_item] + xi[rows, cols, step_item]
+    missed = ~_follows(obs, boxes.theta[rows[:, :, 0], assignment],
+                       boxes.layout.right[assignment])
+    if missed.any():
+        r = int(np.argmax(missed.any(axis=1)))
+        for k in assignment[r][missed[r]]:
+            if empty[r, k]:
                 raise InfeasibleTarget(
                     f"leaf {int(k)} has contradictory bounds")
         raise InfeasibleTarget("witness does not reach the assigned leaves")
     return xi
 
 
-def _result(tree, dataset, values, rho, assignment, eps):
-    rows = np.arange(dataset.n_samples)
-    xi = reconstruct_perturbation(tree, dataset, assignment, eps)
-    return AdversaryResult(
-        objective=assignment_objective(values, assignment),
-        assignment=assignment,
-        xi=xi,
-        effort=float(rho[rows, assignment].sum()),
-    )
+def reconstruct_perturbation(tree, dataset, assignment, eps=EPSILON):
+    """Minimal witness shift routing each sample to its assigned leaf.
 
-
-def solve_local(tree, dataset, gamma, eps=EPSILON):
-    """Worst case when every sample gets its own budget gamma.
-
-    Per sample: the most expensive leaf among those with effort <= gamma.
-    Ties keep the nominal leaf if it attains the maximum, otherwise the
-    lowest leaf index.
+    Each constrained observation is clamped to the nearest edge of the
+    target leaf's box, so the L1 norm equals the effort; samples assigned
+    to their nominal leaf keep a zero shift.  Raises
+    :class:`InfeasibleTarget` for contradictory targets.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    eff = perturbation_cost(tree, dataset, eps)
-    values = leaf_values(dataset, tree)
-    rows = np.arange(dataset.n_samples)
-    masked = np.where(eff.rho <= gamma, values, -np.inf)
-    best = masked.max(axis=1)
-    first = masked.argmax(axis=1)
-    at_nominal = values[rows, eff.nominal_leaf] == best
-    assignment = np.where(at_nominal, eff.nominal_leaf, first)
-    return _result(tree, dataset, values, eff.rho, assignment, eps)
+    assignment = np.asarray(assignment, dtype=np.int64)[None]
+    boxes = _boxes(tree, tree.thresholds[None], eps)
+    return _witnesses(dataset.costs, boxes, _nominal(dataset.costs, boxes),
+                      assignment)[0]
 
 
-def _upgrade_lists(values, rho, nominal, gamma):
+def _upgrade_lists(afford, rho, gain):
     """Per sample: dominance-filtered affordable upgrades off the nominal leaf.
 
-    An upgrade is (extra value dv > 0, effort de <= gamma).  Sorting by
+    An upgrade is (extra value dv > 0, effort de <= gamma); ``afford``
+    marks them among one row's (sample, leaf) pairs.  Sorting by
     (de, -dv, leaf) and keeping strict dv-improvers removes everything a
     cheaper-or-equal, better-or-equal upgrade covers; equal-value upgrades
-    keep the lowest leaf index, preserving the tie preference.
+    keep the lowest leaf index, preserving the tie preference.  Returns
+    {sample: upgrades} for the samples with at least one.
     """
-    per_sample = []
-    n_samples, n_leaves = values.shape
-    for j in range(n_samples):
-        base = values[j, nominal[j]]
-        cands = []
-        for k in range(n_leaves):
-            if k == nominal[j]:
-                continue
-            de = rho[j, k]
-            dv = values[j, k] - base
-            if de <= gamma and np.isfinite(de) and dv > 0:
-                cands.append((float(de), float(dv), k))
-        cands.sort(key=lambda c: (c[0], -c[1], c[2]))
+    js, ks = np.nonzero(afford)
+    cands = {}
+    for j, k, de, dv in zip(js.tolist(), ks.tolist(), rho[js, ks].tolist(),
+                            gain[js, ks].tolist()):
+        cands.setdefault(j, []).append((de, dv, k))
+    per_sample = {}
+    for j, cs in cands.items():
+        cs.sort(key=lambda c: (c[0], -c[1], c[2]))
         kept = []
         best_dv = 0.0
-        for de, dv, k in cands:
+        for de, dv, k in cs:
             if dv > best_dv:
                 kept.append((de, dv, k))
                 best_dv = dv
-        per_sample.append(kept)
+        per_sample[j] = kept
     return per_sample
 
 
@@ -258,6 +303,99 @@ def _hull(cands):
             for t in range(len(pts) - 1)]
 
 
+def _shared_upgrades(per_sample, gamma, assignment):
+    """Move samples off their nominal leaf as the best shared-budget
+    knapsack over ``per_sample`` upgrades says, in place."""
+    # visit big potential gains first; ties by sample index
+    levels = sorted(per_sample, key=lambda j: (-per_sample[j][-1][1], j))
+    cand_de, cand_dv, cand_leaf, cand_ptr = [], [], [], [0]
+    hull_rows = []
+    max_dv = []
+    for t, j in enumerate(levels):
+        base = len(cand_de)
+        for de, dv, k in per_sample[j]:
+            cand_de.append(de)
+            cand_dv.append(dv)
+            cand_leaf.append(k)
+        cand_ptr.append(len(cand_de))
+        max_dv.append(per_sample[j][-1][1])
+        for chain_pos, (h_de, h_dv, cpos) in enumerate(_hull(per_sample[j])):
+            hull_rows.append((h_dv / h_de, t, chain_pos, h_de, h_dv,
+                              base + cpos))
+    hull_rows.sort(key=lambda r: (-r[0], r[1], r[2]))
+
+    hull_level = np.asarray([r[1] for r in hull_rows], dtype=np.int64)
+    hull_pos = np.asarray([r[2] for r in hull_rows], dtype=np.int64)
+    hull_de = np.asarray([r[3] for r in hull_rows], dtype=np.float64)
+    hull_dv = np.asarray([r[4] for r in hull_rows], dtype=np.float64)
+    hull_cand = np.asarray([r[5] for r in hull_rows], dtype=np.int64)
+
+    suffix = np.zeros(len(levels) + 1, dtype=np.float64)
+    for t in range(len(levels) - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + max_dv[t]
+
+    _, choice = kernels.mckp_search(
+        np.asarray(cand_ptr, dtype=np.int64),
+        np.asarray(cand_de, dtype=np.float64),
+        np.asarray(cand_dv, dtype=np.float64),
+        suffix,
+        hull_level, hull_pos, hull_de, hull_dv, hull_cand,
+        float(gamma),
+    )
+    for t, j in enumerate(levels):
+        if choice[t] >= 0:
+            assignment[j] = cand_leaf[choice[t]]
+
+
+def _solve(tree, thresholds, dataset, kind, gamma, eps):
+    """Worst cases of ``tree`` under each row of ``thresholds``.
+
+    Returns (objective, assignment, xi, effort) with a leading row axis.
+    ``kind`` "local" is the per-sample adversary of :func:`solve_local`,
+    vectorized over rows; "global" the shared-budget search of
+    :func:`solve_global`, run once per row that has an affordable upgrade.
+    Objectives are recomputed canonically from the chosen assignment.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    boxes, nominal, rho = _efforts(tree, thresholds, dataset, eps)
+    values = leaf_values(dataset, tree)
+    cols = np.arange(dataset.n_samples)
+    base = values[cols, nominal]
+    if kind == "local":
+        masked = np.where(rho <= gamma, values, -np.inf)
+        best = masked.max(axis=2)
+        assignment = np.where(base == best, nominal, masked.argmax(axis=2))
+    else:
+        assignment = nominal.copy()
+        gain = values - base[:, :, None]
+        afford = (rho <= gamma) & np.isfinite(rho) & (gain > 0)
+        for r in np.flatnonzero(afford.any(axis=(1, 2))):
+            _shared_upgrades(_upgrade_lists(afford[r], rho[r], gain[r]),
+                             gamma, assignment[r])
+    xi = _witnesses(dataset.costs, boxes, nominal, assignment)
+    objective = assignment_objective(values, assignment)
+    effort = rho[np.arange(len(rho))[:, None], cols, assignment].sum(axis=1)
+    return objective, assignment, xi, effort
+
+
+def _one(tree, dataset, kind, gamma, eps):
+    objective, assignment, xi, effort = _solve(
+        tree, tree.thresholds[None], dataset, kind, gamma, eps)
+    return AdversaryResult(float(objective[0]), assignment[0], xi[0],
+                           float(effort[0]))
+
+
+def solve_local(tree, dataset, gamma, eps=EPSILON):
+    """Worst case when every sample gets its own budget gamma.
+
+    Per sample: the most expensive leaf among those with effort <= gamma.
+    Ties keep the nominal leaf if it attains the maximum, otherwise the
+    lowest leaf index.
+    """
+    return _one(tree, dataset, "local", gamma, eps)
+
+
 def solve_global(tree, dataset, gamma, eps=EPSILON):
     """Worst case when one budget gamma is shared across all samples.
 
@@ -266,55 +404,7 @@ def solve_global(tree, dataset, gamma, eps=EPSILON):
     samples closes the search (``kernels.mckp_search``).  The reported
     objective is recomputed canonically from the chosen assignment.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    eff = perturbation_cost(tree, dataset, eps)
-    values = leaf_values(dataset, tree)
-    assignment = eff.nominal_leaf.copy()
-    per_sample = _upgrade_lists(values, eff.rho, eff.nominal_leaf, gamma)
-
-    levels = [j for j, cands in enumerate(per_sample) if cands]
-    # visit big potential gains first; ties by sample index
-    levels.sort(key=lambda j: (-per_sample[j][-1][1], j))
-    if levels:
-        cand_de, cand_dv, cand_leaf, cand_ptr = [], [], [], [0]
-        hull_rows = []
-        max_dv = []
-        for t, j in enumerate(levels):
-            base = len(cand_de)
-            for de, dv, k in per_sample[j]:
-                cand_de.append(de)
-                cand_dv.append(dv)
-                cand_leaf.append(k)
-            cand_ptr.append(len(cand_de))
-            max_dv.append(per_sample[j][-1][1])
-            for chain_pos, (h_de, h_dv, cpos) in enumerate(_hull(per_sample[j])):
-                hull_rows.append((h_dv / h_de, t, chain_pos, h_de, h_dv,
-                                  base + cpos))
-        hull_rows.sort(key=lambda r: (-r[0], r[1], r[2]))
-
-        hull_level = np.asarray([r[1] for r in hull_rows], dtype=np.int64)
-        hull_pos = np.asarray([r[2] for r in hull_rows], dtype=np.int64)
-        hull_de = np.asarray([r[3] for r in hull_rows], dtype=np.float64)
-        hull_dv = np.asarray([r[4] for r in hull_rows], dtype=np.float64)
-        hull_cand = np.asarray([r[5] for r in hull_rows], dtype=np.int64)
-
-        suffix = np.zeros(len(levels) + 1, dtype=np.float64)
-        for t in range(len(levels) - 1, -1, -1):
-            suffix[t] = suffix[t + 1] + max_dv[t]
-
-        _, choice = kernels.mckp_search(
-            np.asarray(cand_ptr, dtype=np.int64),
-            np.asarray(cand_de, dtype=np.float64),
-            np.asarray(cand_dv, dtype=np.float64),
-            suffix,
-            hull_level, hull_pos, hull_de, hull_dv, hull_cand,
-            float(gamma),
-        )
-        for t, j in enumerate(levels):
-            if choice[t] >= 0:
-                assignment[j] = cand_leaf[choice[t]]
-    return _result(tree, dataset, values, eff.rho, assignment, eps)
+    return _one(tree, dataset, "global", gamma, eps)
 
 
 def worst_case(tree, dataset, budget, eps=EPSILON):
@@ -322,6 +412,19 @@ def worst_case(tree, dataset, budget, eps=EPSILON):
     if budget.kind == "local":
         return solve_local(tree, dataset, budget.gamma, eps)
     return solve_global(tree, dataset, budget.gamma, eps)
+
+
+def worst_cases(tree, thresholds, dataset, budget, eps=EPSILON):
+    """Worst-case objective of ``tree.with_thresholds(row)`` for each row.
+
+    ``thresholds`` is (rows, internal nodes).  Every value is bitwise the
+    ``worst_case(...).objective`` of that row's tree, and every row's
+    witness is rebuilt and replayed, but the boxes, efforts and leaf
+    values come from one pass over the batch.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    return _solve(tree, thresholds, dataset, budget.kind, budget.gamma,
+                  eps)[0]
 
 
 def evaluate_robust(tree, dataset, budget, space=None, eps=EPSILON):

@@ -20,12 +20,14 @@ meet within tolerance.  ``scenario_generation`` runs it with
 family; the shared-budget leaf optimizer of the heuristics runs it with a
 leaf-assignment master.  ``robust_value`` is the worst-case objective of
 one tree.  ``post_process`` slides thresholds inside their enclosing
-observed-value intervals and keeps the best tree found.
+observed-value intervals and keeps the best tree found; it evaluates the
+whole grid of threshold combinations in one batched adversary pass
+(``adversary.worst_cases``).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +44,8 @@ PI_GRID = tuple(round(0.1 * t, 1) for t in range(1, 10))
 _CHUNK = 100_000
 _TIME_CHECK = 2048
 _MAX_STRUCTURES = 2 ** 62
+_GRID_ELEMS = 2 ** 18
+"""Cap on a threshold-grid block: rows times per-row sample work."""
 
 
 @dataclass(frozen=True)
@@ -359,21 +363,27 @@ def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,
     """Refine thresholds inside their enclosing observed-value intervals.
 
     Each internal node's threshold is replaced by candidates interpolating
-    the two observed values bracketing it (weights ``pis``); every
-    combination is evaluated through the adversary (exactly
-    prod(|options|) evaluations, |pis|^nodes when all thresholds sit
-    strictly between observations).  Returns the strictly best tree found,
-    or the input tree on ties.  When the input's thresholds are catalog
-    midpoints the input combination is part of the grid, so no extra
-    evaluation is needed; otherwise ``input_objective`` is used as the
-    reference (one extra adversary call when omitted).
+    the two observed values bracketing it (weights ``pis``); a threshold
+    that does not lie strictly between two observations is kept.  Every
+    combination in the product of those options (node 0 slowest, as
+    ``itertools.product``) is evaluated exactly: prod(|options|) rows,
+    |pis|^nodes when all thresholds sit strictly between observations.
+    The rows go to ``adversary.worst_cases`` in blocks of at most
+    ``_GRID_ELEMS`` elements of per-row work, one block for the trees the
+    package fits.  Returns the tree of the first strictly smallest worst
+    case if it beats the input's by more than 1e-9, else the input tree
+    itself; a depth-0 tree is evaluated once and returned.  When the input's
+    thresholds are catalog midpoints the input combination is part of the
+    grid, so no extra evaluation is needed; otherwise ``input_objective``
+    is used as the reference (one extra row when omitted).
     """
     if space is not None:
         for k in range(tree.n_leaves):
             if not space.is_feasible(tree.leaves[k]):
                 raise ValueError(f"leaf {k} is not feasible in the given space")
     if tree.depth == 0:
-        robust_value(tree, dataset, budget, eps)
+        adversary.worst_cases(tree, tree.thresholds[None], dataset, budget,
+                              eps)
         return tree
 
     options = []
@@ -387,23 +397,42 @@ def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,
         else:
             options.append([theta])
 
-    original = tuple(float(t) for t in tree.thresholds)
+    sizes = [len(opt) for opt in options]
+    total = math.prod(sizes)
+    original = None
+    if all(float(t) in opt for t, opt in zip(tree.thresholds, options)):
+        original = int(np.ravel_multi_index(
+            [opt.index(float(t)) for t, opt in zip(tree.thresholds, options)],
+            sizes))
+
+    per_row = dataset.n_samples * max(dataset.n_items,
+                                      tree.n_leaves * tree.depth)
+    block = max(1, _GRID_ELEMS // per_row)
     best_val = np.inf
-    best_combo = None
+    best_row = None
     original_val = None
-    for combo in itertools.product(*options):
-        candidate = tree.with_thresholds(np.asarray(combo))
-        val = robust_value(candidate, dataset, budget, eps)
-        if combo == original:
-            original_val = val
-        if val < best_val:
-            best_val = val
-            best_combo = combo
+    for start in range(0, total, block):
+        rows = _grid_rows(options, sizes, start, min(start + block, total))
+        vals = adversary.worst_cases(tree, rows, dataset, budget, eps)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = vals[i]
+            best_row = rows[i].copy()
+        if original is not None and start <= original < start + len(rows):
+            original_val = vals[original - start]
     ref = input_objective
     if ref is None:
         ref = original_val
     if ref is None:
-        ref = robust_value(tree, dataset, budget, eps)
+        ref = adversary.worst_cases(tree, tree.thresholds[None], dataset,
+                                    budget, eps)[0]
     if best_val < ref - 1e-9:
-        return tree.with_thresholds(np.asarray(best_combo))
+        return tree.with_thresholds(best_row)
     return tree
+
+
+def _grid_rows(options, sizes, start, stop):
+    """Rows [start, stop) of the product of per-node threshold options."""
+    picks = np.unravel_index(np.arange(start, stop), sizes)
+    return np.column_stack([np.asarray(opt, dtype=np.float64)[pick]
+                            for opt, pick in zip(options, picks)])

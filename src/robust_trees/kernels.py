@@ -13,10 +13,11 @@ Both paths run the identical code and return identical results; only the
 speed differs.  ``benchmarks/bench_kernels.py`` measures the gap.
 
 The split-structure scans (``scan_structures_free``,
-``scan_structures_fixed``) are NumPy code under either backend: they
-evaluate blocks of consecutive structures at once and return bitwise what
-a loop over one structure at a time returns (``tests/oracles.py`` keeps
-that loop as their reference).
+``scan_structures_fixed``) and ``effort_matrix`` are NumPy code under
+either backend: the scans evaluate blocks of consecutive structures at
+once, the effort matrix a batch of threshold rows of one tree structure,
+and each returns bitwise what a loop over one structure or one row
+returns (``tests/oracles.py`` keeps those loops as their reference).
 
 Branch-and-bound kernels use small safety margins (1e-9 absolute) so that
 float rounding in bound arithmetic can never prune a strictly better
@@ -103,30 +104,31 @@ def _grid_min_path(g, costs):
 # Per-leaf perturbation efforts
 # ---------------------------------------------------------------------------
 
-def _effort_matrix(costs, item, lo, hi, leaf_ptr, leaf_ok):
-    """L1 effort to route each sample into each leaf.
+def effort_matrix(costs, item, lo, hi, nominal):
+    """L1 effort to route each sample into each leaf, per row of bounds.
 
-    Constraints for leaf k occupy rows leaf_ptr[k]:leaf_ptr[k+1]; each
-    requires observation `item` to land in [lo, hi].  A leaf whose combined
-    constraints are contradictory (leaf_ok false) costs +inf for every
-    sample.
+    Slot p of leaf k requires observation ``item[k, p]`` to land in
+    ``[lo[r, k, p], hi[r, k, p]]`` under row r (an open slot is
+    (-inf, inf)).  ``rho[r, j, k]`` adds the distances of ``costs[j]`` to
+    leaf k's slots in slot order, starting from 0.0, as a loop over slots
+    would.  A leaf with lo > hi in some slot has an empty box and costs
+    +inf for every sample, except where the zero shift already reaches it:
+    ``nominal[r, j]`` is sample j's leaf under row r, at effort 0.
+    Returns a (rows, samples, leaves) array.
     """
-    n_samples = costs.shape[0]
-    n_leaves = leaf_ptr.shape[0] - 1
-    rho = np.zeros((n_samples, n_leaves), np.float64)
-    for k in range(n_leaves):
-        if not leaf_ok[k]:
-            for j in range(n_samples):
-                rho[j, k] = np.inf
-            continue
-        for t in range(leaf_ptr[k], leaf_ptr[k + 1]):
-            i = item[t]
-            for j in range(n_samples):
-                cji = costs[j, i]
-                if cji < lo[t]:
-                    rho[j, k] += lo[t] - cji
-                elif cji > hi[t]:
-                    rho[j, k] += cji - hi[t]
+    c = costs[:, item]
+    lo = lo[:, None]
+    hi = hi[:, None]
+    # At most one of the two gaps is positive where lo <= hi; an empty
+    # box is overwritten below.
+    dist = np.maximum(lo - c, 0.0)
+    dist += np.maximum(c - hi, 0.0)
+    rho = np.zeros(dist.shape[:3])
+    for p in range(dist.shape[3]):
+        rho += dist[:, :, :, p]
+    rho = np.where((lo > hi).any(axis=3), np.inf, rho)
+    rho[np.arange(rho.shape[0])[:, None], np.arange(rho.shape[1]),
+        nominal] = 0.0
     return rho
 
 
@@ -469,7 +471,6 @@ def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
 _mckp_lp_bound = _maybe_jit(_mckp_lp_bound)
 
 grid_min_path = _maybe_jit(_grid_min_path)
-effort_matrix = _maybe_jit(_effort_matrix)
 mckp_search = _maybe_jit(_mckp_search)
 assign_minmax = _maybe_jit(_assign_minmax)
 assign_reach = _maybe_jit(_assign_reach)

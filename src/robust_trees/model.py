@@ -282,9 +282,15 @@ def leaf_values(dataset, tree):
 
 
 def assignment_objective(values, assignment):
-    """Canonical objective: sum of each sample's value at its leaf."""
+    """Canonical objective: sum of each sample's value at its leaf.
+
+    An ``assignment`` with a leading row axis, one assignment per row,
+    gives an array of the row objectives, each the same float as that
+    row's assignment passed alone.
+    """
     rows = np.arange(values.shape[0])
-    return float(values[rows, assignment].sum())
+    total = values[rows, assignment].sum(axis=-1)
+    return float(total) if np.ndim(assignment) == 1 else total
 
 
 def nominal_objective(tree, dataset):

@@ -8,7 +8,10 @@ is exhaustive enumeration.  Only trivial accessors of the package
 
 ``scan_structures_free`` and ``scan_structures_fixed`` are the
 one-structure-at-a-time loops that ``robust_trees.kernels`` evaluates in
-NumPy blocks; the kernels must return bitwise the same results.
+NumPy blocks, and ``effort_matrix_loop`` the per-row loop behind
+``kernels.effort_matrix``; the kernels must return bitwise the same
+results.  ``post_process_loop`` is threshold refinement evaluated one
+tree at a time, the reference for the batched ``post_process``.
 ``brute_force_global`` checks the shared-budget knapsack search alone: it
 walks every assignment over the package's own effort matrix and breaks
 ties the way the search does, so the two objectives must agree exactly.
@@ -66,6 +69,35 @@ def effort_matrix(tree, dataset, eps):
         for k in range(n_leaves):
             rho[j, k] = (0.0 if k == nominal[j]
                          else effort(tree, dataset.costs[j], k, eps))
+    return rho
+
+
+def effort_matrix_loop(costs, item, lo, hi, nominal):
+    """The loop ``kernels.effort_matrix`` evaluates in NumPy.
+
+    Per row r, leaf k and slot p, sample j pays its distance to
+    [lo[r, k, p], hi[r, k, p]] on item[k, p], added in slot order from
+    0.0; a leaf with an empty slot costs +inf; the nominal leaf
+    nominal[r, j] costs 0.
+    """
+    n_rows, n_leaves, n_slots = lo.shape
+    n_samples = costs.shape[0]
+    rho = np.zeros((n_rows, n_samples, n_leaves))
+    for r in range(n_rows):
+        for k in range(n_leaves):
+            if (lo[r, k] > hi[r, k]).any():
+                rho[r, :, k] = np.inf
+                continue
+            for p in range(n_slots):
+                i = item[k, p]
+                for j in range(n_samples):
+                    cji = costs[j, i]
+                    if cji < lo[r, k, p]:
+                        rho[r, j, k] += lo[r, k, p] - cji
+                    elif cji > hi[r, k, p]:
+                        rho[r, j, k] += cji - hi[r, k, p]
+        for j in range(n_samples):
+            rho[r, j, nominal[r, j]] = 0.0
     return rho
 
 
@@ -299,3 +331,45 @@ def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
             if best <= lb_stop:
                 break
     return best, improved, best_choice
+
+
+def post_process_loop(tree, dataset, budget, pis, eps=1e-3,
+                      input_objective=None):
+    """Threshold refinement one tree at a time, the reference for the
+    batched ``post_process``: every combination through ``robust_value``,
+    first strict minimum, input tree on ties."""
+    from robust_trees import robust_value
+
+    if tree.depth == 0:
+        robust_value(tree, dataset, budget, eps)
+        return tree
+    options = []
+    for q in range(tree.n_internal):
+        theta = float(tree.thresholds[q])
+        vals = np.unique(dataset.costs[:, tree.items[q]])
+        pos = int(np.searchsorted(vals, theta))
+        if 0 < pos < vals.size and vals[pos - 1] < theta < vals[pos]:
+            lo, hi = float(vals[pos - 1]), float(vals[pos])
+            options.append([pi * lo + (1.0 - pi) * hi for pi in pis])
+        else:
+            options.append([theta])
+    original = tuple(float(t) for t in tree.thresholds)
+    best_val = math.inf
+    best_combo = None
+    original_val = None
+    for combo in itertools.product(*options):
+        candidate = tree.with_thresholds(np.asarray(combo))
+        val = robust_value(candidate, dataset, budget, eps)
+        if combo == original:
+            original_val = val
+        if val < best_val:
+            best_val = val
+            best_combo = combo
+    ref = input_objective
+    if ref is None:
+        ref = original_val
+    if ref is None:
+        ref = robust_value(tree, dataset, budget, eps)
+    if best_val < ref - 1e-9:
+        return tree.with_thresholds(np.asarray(best_combo))
+    return tree

@@ -40,7 +40,7 @@ from robust_trees import (
     solve_global,
     solve_local,
 )
-from robust_trees import exact
+from robust_trees import adversary, exact
 from conftest import selection_fixture
 
 
@@ -233,13 +233,13 @@ def test_criterion_9_post_processing_is_safe(monkeypatch):
     with criterion(9, "threshold refinement never hurts and uses the "
                       "exact evaluation count"):
         calls = []
-        real = exact.robust_value
+        real = adversary.worst_cases
 
-        def wrapper(tree, dataset, budget, eps=1e-3):
-            calls.append(1)
-            return real(tree, dataset, budget, eps)
+        def wrapper(tree, thresholds, dataset, budget, eps=1e-3):
+            calls.append(len(thresholds))
+            return real(tree, thresholds, dataset, budget, eps)
 
-        monkeypatch.setattr(exact, "robust_value", wrapper)
+        monkeypatch.setattr(adversary, "worst_cases", wrapper)
         for i in range(50):
             depth = 2 if i % 5 == 0 else 1
             inst = generate_instance(
@@ -252,7 +252,7 @@ def test_criterion_9_post_processing_is_safe(monkeypatch):
             rep = h_tree(ds, budget, space, cfg)
             calls.clear()
             out = post_process(rep.tree, ds, budget)
-            assert len(calls) == len(PI_GRID) ** rep.tree.n_internal
+            assert sum(calls) == len(PI_GRID) ** rep.tree.n_internal
             assert (robust_value(out, ds, budget)
                     <= robust_value(rep.tree, ds, budget))
 

@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from robust_trees import (
+    EPSILON,
     CapExceeded,
     Dataset,
     DecisionTree,
     InfeasibleTarget,
     InstanceSpec,
     UncertaintyBudget,
+    assignment_objective,
     build_threshold_catalog,
+    compute_budget,
     generate_instance,
     leaf_values,
     nominal_objective,
+    per_sample_optima,
     perturbation_cost,
     reconstruct_perturbation,
     sample_random_structure,
@@ -22,6 +27,8 @@ from robust_trees import (
     solve_global,
     solve_local,
 )
+from robust_trees import adversary
+from robust_trees.adversary import worst_case, worst_cases
 
 GAMMA_GRID = (0.0, 0.3, 1.0, 3.0, 10.0)
 
@@ -114,6 +121,16 @@ class TestNominalLeafInsideMargin:
         assert (res.xi == 0.0).all()
         with pytest.raises(InfeasibleTarget):
             reconstruct_perturbation(tree, ds, np.array([2, 2]))
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_batch_matches_one_tree_at_a_time(self, case, kind):
+        ds, tree = case
+        shifts = (0.0, -2e-4, 0.05)
+        rows = np.array([tree.thresholds + d for d in shifts]
+                        + [tree.thresholds + (d, 0.0, -d) for d in shifts])
+        for gamma in (0.0, 0.05, 1e6):
+            _assert_batch_matches(tree, rows, ds, UncertaintyBudget(kind,
+                                                                    gamma))
 
     @pytest.mark.parametrize("solve", [solve_local, solve_global])
     def test_zero_budget_witness_replays(self, case, solve):
@@ -257,3 +274,112 @@ def test_local_value_within_structural_bounds(seed, gamma):
     vals = leaf_values(ds, tree)
     assert nominal_objective(tree, ds) <= value + 1e-9
     assert value <= float(vals.max(axis=1).sum()) + 1e-9
+
+
+def _assert_batch_matches(tree, rows, dataset, budget):
+    """Each batched value is bitwise the one-tree worst case of its row,
+    and each batched effort row bitwise the reference effort matrix."""
+    got = worst_cases(tree, rows, dataset, budget)
+    _, _, rho = adversary._efforts(tree, rows, dataset, EPSILON)
+    assert got.shape == rho.shape[:1] == (len(rows),)
+    for r, row in enumerate(rows):
+        one = tree.with_thresholds(row)
+        ref = worst_case(one, dataset, budget).objective
+        assert np.float64(got[r]).tobytes() == np.float64(ref).tobytes()
+        ref_rho = oracles.effort_matrix(one, dataset, eps=EPSILON)
+        assert rho[r].tobytes() == ref_rho.tobytes()
+        if tree.n_leaves ** dataset.n_samples <= 4096:
+            assert got[r] == pytest.approx(
+                oracles.adversary_value(one, dataset, budget, EPSILON),
+                abs=1e-9)
+    return got
+
+
+# Observations with ties and gaps below EPSILON; thresholds sit on an
+# observation or up to 0.25 below it, some within EPSILON.
+_OBSERVED = st.sampled_from([0.0, 0.5, 1.0, 1.0004, 1.0009, 2.0, 3.25, 7.5])
+_BELOW = st.sampled_from([0.0, 2e-4, 5e-4, EPSILON, 0.25])
+
+
+@st.composite
+def _batch_case(draw, max_depth=3, max_rows=5):
+    """A tree over few items (so items repeat on a path and some boxes
+    are empty), its dataset, and rows of thresholds near observations."""
+    depth = draw(st.integers(1, max_depth))
+    n_items = draw(st.integers(1, 3))
+    n_samples = draw(st.integers(1, 6))
+    costs = draw(hnp.arrays(np.float64, (n_samples, n_items),
+                            elements=_OBSERVED))
+    n_nodes = 2 ** depth - 1
+    items = draw(st.lists(st.integers(0, n_items - 1), min_size=n_nodes,
+                          max_size=n_nodes))
+    leaves = draw(hnp.arrays(np.int8, (2 ** depth, n_items),
+                             elements=st.integers(0, 1)))
+    rows = [[costs[draw(st.integers(0, n_samples - 1)), i] - draw(_BELOW)
+             for i in items]
+            for _ in range(draw(st.integers(1, max_rows)))]
+    tree = DecisionTree(depth, items, rows[0], leaves)
+    return Dataset(costs), tree, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_batch_case(), kind=st.sampled_from(["local", "global"]),
+       gamma=st.sampled_from([0.0, 3e-4, 0.3, 1.0, 1e6]))
+def test_batch_matches_one_tree_at_a_time(case, kind, gamma):
+    dataset, tree, rows = case
+    _assert_batch_matches(tree, rows, dataset, UncertaintyBudget(kind, gamma))
+
+
+@pytest.mark.parametrize("kind", ["local", "global"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_objectives_are_canonical_sums_over_many_samples(seed, kind):
+    """With enough samples that NumPy sums them pairwise (8 or more),
+    batched and one-tree objectives are still bitwise the canonical
+    ``assignment_objective`` of the chosen assignment."""
+    rng = np.random.default_rng(seed)
+    ds = Dataset(rng.uniform(0, 10, size=(23, 4)))
+    items, thetas = sample_random_structure(build_threshold_catalog(ds), 2,
+                                            rng)
+    tree = DecisionTree(2, items, thetas,
+                        rng.integers(0, 2, size=(4, 4)).astype(np.int8))
+    values = leaf_values(ds, tree)
+    rows = np.array([tree.thresholds - d for d in (0.0, 0.4, 1.3)])
+    for lam in (0.0, 0.05, 0.3):
+        budget = compute_budget(ds, lam, tree.depth, kind)
+        got = worst_cases(tree, rows, ds, budget)
+        for r, row in enumerate(rows):
+            res = worst_case(tree.with_thresholds(row), ds, budget)
+            ref = assignment_objective(values, res.assignment)
+            assert np.float64(res.objective).tobytes() == \
+                np.float64(ref).tobytes()
+            assert np.float64(got[r]).tobytes() == np.float64(ref).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-4, 1e6]),
+       kind=st.sampled_from(["local", "global"]), depth=st.integers(1, 2))
+def test_cost_scale_witness_and_monotone(seed, scale, kind, depth):
+    """Scaled costs make the absolute EPSILON margin huge (1e-4) or tiny
+    (1e6) against the cost spread: witnesses still replay within the
+    budget, and the worst case never falls as the budget grows."""
+    inst = generate_instance(InstanceSpec(grid_side=3, n_train=5, n_test=1,
+                                          seed=seed))
+    ds = Dataset(inst.train.costs * scale)
+    rng = np.random.default_rng(seed)
+    items, thetas = sample_random_structure(build_threshold_catalog(ds),
+                                            depth, rng)
+    optima = per_sample_optima(ds, inst.space)
+    tree = DecisionTree(depth, items, thetas,
+                        optima[rng.integers(len(optima), size=2 ** depth)])
+    previous = -np.inf
+    for lam in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5):
+        budget = compute_budget(ds, lam, depth, kind)
+        res = worst_case(tree, ds, budget)
+        assert np.array_equal(tree.traverse_batch(ds.costs + res.xi),
+                              res.assignment)
+        spent = np.abs(res.xi).sum(axis=1)
+        if kind == "global":
+            spent = spent.sum()
+        assert np.all(spent <= budget.gamma * (1 + 1e-9))
+        assert res.objective >= previous - 1e-12 * abs(previous)
+        previous = res.objective

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import SOLUTION_A, SOLUTION_B
@@ -27,6 +28,7 @@ from robust_trees import (
     robust_value,
     scenario_generation,
     solve_master,
+    tree_to_json,
 )
 from robust_trees import adversary, exact
 from robust_trees.adversary import AdversaryResult
@@ -231,29 +233,30 @@ class TestRobustValue:
 
 class TestPostProcess:
     def _counting(self, monkeypatch):
-        calls = []
-        real = exact.robust_value
+        """Record the number of threshold rows of each batched evaluation."""
+        rows = []
+        real = adversary.worst_cases
 
-        def wrapper(tree, dataset, budget, eps=1e-3):
-            calls.append(1)
-            return real(tree, dataset, budget, eps)
+        def wrapper(tree, thresholds, dataset, budget, eps=1e-3):
+            rows.append(len(thresholds))
+            return real(tree, thresholds, dataset, budget, eps)
 
-        monkeypatch.setattr(exact, "robust_value", wrapper)
-        return calls
+        monkeypatch.setattr(adversary, "worst_cases", wrapper)
+        return rows
 
     def test_evaluation_count_full_grid(self, demo_dataset, depth1_tree,
                                         monkeypatch):
         calls = self._counting(monkeypatch)
         budget = UncertaintyBudget.global_(5.0)
         post_process(depth1_tree, demo_dataset, budget)
-        assert len(calls) == len(PI_GRID)
+        assert sum(calls) == len(PI_GRID)
 
     def test_evaluation_count_depth2(self, demo_dataset, depth2_tree,
                                      monkeypatch):
         calls = self._counting(monkeypatch)
         budget = UncertaintyBudget.global_(5.0)
         post_process(depth2_tree, demo_dataset, budget)
-        assert len(calls) == len(PI_GRID) ** 3
+        assert sum(calls) == len(PI_GRID) ** 3
 
     def test_degenerate_threshold_kept_fixed(self, demo_dataset,
                                              monkeypatch):
@@ -263,25 +266,32 @@ class TestPostProcess:
         tree = DecisionTree(2, [0, 2, 2], [5.0, 5.0, 5.0], leaves)
         calls = self._counting(monkeypatch)
         post_process(tree, demo_dataset, UncertaintyBudget.local(1.0))
-        assert len(calls) == len(PI_GRID)
+        assert sum(calls) == len(PI_GRID)
 
     def test_off_grid_threshold_costs_one_extra(self, demo_dataset,
                                                 depth1_tree, monkeypatch):
         shifted = depth1_tree.with_thresholds([4.9])
         calls = self._counting(monkeypatch)
         post_process(shifted, demo_dataset, UncertaintyBudget.global_(5.0))
-        assert len(calls) == len(PI_GRID) + 1
+        assert sum(calls) == len(PI_GRID) + 1
         calls.clear()
         post_process(shifted, demo_dataset, UncertaintyBudget.global_(5.0),
                      input_objective=50.0)
-        assert len(calls) == len(PI_GRID)
+        assert sum(calls) == len(PI_GRID)
+
+    def test_on_grid_input_is_its_own_reference(self, demo_dataset,
+                                                depth1_tree):
+        # 5.0 is the pi = 0.5 point between the observations 1 and 9 and
+        # the only best row at this budget; the first row (8.2) is worse.
+        budget = UncertaintyBudget.local(3.5)
+        assert post_process(depth1_tree, demo_dataset, budget) is depth1_tree
 
     def test_depth_zero_single_evaluation(self, demo_dataset, monkeypatch):
         tree = DecisionTree(0, [], [], SOLUTION_A[None, :])
         calls = self._counting(monkeypatch)
         out = post_process(tree, demo_dataset, UncertaintyBudget.local(1.0))
         assert out is tree
-        assert len(calls) == 1
+        assert sum(calls) == 1
 
     def test_returns_input_object_on_tie(self, demo_dataset, demo_space,
                                          depth2_tree):
@@ -315,3 +325,62 @@ class TestPostProcess:
         with pytest.raises(ValueError, match="feasible"):
             post_process(bad, demo_dataset, UncertaintyBudget.local(1.0),
                          space=demo_space)
+
+
+# Observations with ties and gaps below EPSILON.
+_OBSERVED = st.sampled_from([0.0, 0.5, 1.0, 1.0004, 1.0009, 2.0, 3.25, 7.5])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), depth=st.integers(1, 3), n_items=st.integers(1, 3),
+       n_samples=st.integers(2, 6), kind=st.sampled_from(["local", "global"]),
+       gamma=st.sampled_from([0.0, 0.3, 1.0, 1e6]),
+       reference=st.sampled_from([None, "exact", "above", "below"]),
+       one_row_blocks=st.booleans())
+def test_post_process_matches_loop(data, depth, n_items, n_samples, kind,
+                                   gamma, reference, one_row_blocks):
+    """The batched refinement returns the tree the one-tree-at-a-time loop
+    returns: thresholds on, between (grid points, catalog midpoints and
+    others) and below observations, repeated items, both kinds, any
+    reference, with
+    the grid in one block or one row per block.  An infinite reference
+    returns the first strictly best grid row."""
+    costs = data.draw(hnp.arrays(np.float64, (n_samples, n_items),
+                                 elements=_OBSERVED))
+    ds = Dataset(costs)
+    n_nodes = 2 ** depth - 1
+    items = data.draw(st.lists(st.integers(0, n_items - 1),
+                               min_size=n_nodes, max_size=n_nodes))
+    pis = tuple(data.draw(st.lists(st.sampled_from(PI_GRID), min_size=1,
+                                   max_size=3 if depth < 3 else 2,
+                                   unique=True)))
+    thetas = []
+    for i in items:
+        vals = np.unique(costs[:, i])
+        k = data.draw(st.integers(0, vals.size - 1))
+        pi = data.draw(st.sampled_from(pis))
+        thetas.append(data.draw(st.sampled_from([
+            vals[k], vals[k] - 2e-4, vals[k] - 0.3,
+            (vals[k - 1] + vals[k]) / 2.0,
+            pi * float(vals[k - 1]) + (1.0 - pi) * float(vals[k])])))
+    leaves = data.draw(hnp.arrays(np.int8, (2 ** depth, n_items),
+                                  elements=st.integers(0, 1)))
+    tree = DecisionTree(depth, items, thetas, leaves)
+    budget = UncertaintyBudget(kind, gamma)
+    ref_obj = None
+    if reference is not None:
+        ref_obj = robust_value(tree, ds, budget)
+        ref_obj += {"exact": 0.0, "above": 0.5, "below": -0.5}[reference]
+    grid_elems = exact._GRID_ELEMS
+    if one_row_blocks:
+        exact._GRID_ELEMS = 1
+    try:
+        for given_ref in (ref_obj, np.inf):
+            out = post_process(tree, ds, budget, pis=pis,
+                               input_objective=given_ref)
+            ref = oracles.post_process_loop(tree, ds, budget, pis,
+                                            input_objective=given_ref)
+            assert tree_to_json(out) == tree_to_json(ref)
+            assert (out is tree) == (ref is tree)
+    finally:
+        exact._GRID_ELEMS = grid_elems

@@ -19,11 +19,16 @@ def test_backend_reports_sane_values():
         assert kernels.BACKEND == "numba"
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not active")
+needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA,
+                                 reason="numba not active")
+
+
 class TestJitMatchesPython:
     """The compiled kernels must return bit-identical results to the
-    plain Python definitions they were compiled from."""
+    plain Python definitions they were compiled from.  ``effort_matrix``
+    is NumPy under either backend and is checked against its loop."""
 
+    @needs_numba
     def test_grid_min_path(self):
         rng = np.random.default_rng(11)
         for side in (2, 3, 4):
@@ -37,16 +42,21 @@ class TestJitMatchesPython:
     def test_effort_matrix(self):
         rng = np.random.default_rng(12)
         costs = rng.uniform(0, 10, size=(6, 3))
-        item = np.array([0, 1, 1, 2], dtype=np.int64)
-        lo = np.array([-np.inf, 2.0, 4.0, -np.inf])
-        hi = np.array([3.0, np.inf, 9.0, 5.0])
-        leaf_ptr = np.array([0, 1, 3, 4], dtype=np.int64)
-        leaf_ok = np.array([True, True, False])
-        jit = kernels.effort_matrix(costs, item, lo, hi, leaf_ptr, leaf_ok)
-        ref = kernels._effort_matrix(costs, item, lo, hi, leaf_ptr, leaf_ok)
-        assert np.array_equal(jit, ref)
-        assert np.isinf(jit[:, 2]).all()
+        # leaf 0 bounds item 0 (its item-2 slot is open), leaf 1 bounds
+        # item 1 twice, leaf 2 has contradictory bounds on item 2
+        item = np.array([[0, 2], [1, 1], [2, 2]], dtype=np.int64)
+        lo = np.array([[[-np.inf, -np.inf], [2.0, 4.0], [6.0, -np.inf]],
+                       [[1.0, -np.inf], [2.5, 4.0], [5.5, -np.inf]]])
+        hi = np.array([[[3.0, np.inf], [np.inf, 9.0], [5.0, np.inf]],
+                       [[3.0, np.inf], [np.inf, 8.0], [5.0, np.inf]]])
+        nominal = rng.integers(0, 2, size=(2, 6))
+        got = kernels.effort_matrix(costs, item, lo, hi, nominal)
+        ref = oracles.effort_matrix_loop(costs, item, lo, hi, nominal)
+        assert got.tobytes() == ref.tobytes()
+        assert np.isinf(got[:, :, 2]).all()
+        assert (np.take_along_axis(got, nominal[:, :, None], 2) == 0).all()
 
+    @needs_numba
     def test_assign_minmax(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
@@ -57,6 +67,7 @@ class TestJitMatchesPython:
             assert bj == bp
             assert np.array_equal(tj, tp)
 
+    @needs_numba
     def test_assign_reach(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
@@ -176,3 +187,30 @@ def test_fixed_scan_matches_loop(data, n_pat, n_scen, n_samples, depth):
                       oracles.scan_structures_fixed)
     _bitwise_equal(kernels.scan_structures_fixed(*args),
                    oracles.scan_structures_fixed(*args))
+
+
+_BOUNDS = st.sampled_from([-np.inf, np.inf, -1.0, 0.0, 0.4999, 0.5, 1.0,
+                           1.001, 2.5, 9.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 4), n_samples=st.integers(1, 6),
+       n_items=st.integers(1, 4), n_leaves=st.integers(1, 8),
+       n_slots=st.integers(0, 3))
+def test_effort_matrix_matches_loop(data, n_rows, n_samples, n_items,
+                                    n_leaves, n_slots):
+    costs = data.draw(hnp.arrays(np.float64, (n_samples, n_items),
+                                 elements=_SCAN_VALUES | _BOUNDS.filter(
+                                     np.isfinite)))
+    item = data.draw(hnp.arrays(np.int64, (n_leaves, n_slots),
+                                elements=st.integers(0, n_items - 1)))
+    lo = data.draw(hnp.arrays(np.float64, (n_rows, n_leaves, n_slots),
+                              elements=_BOUNDS))
+    hi = data.draw(hnp.arrays(np.float64, (n_rows, n_leaves, n_slots),
+                              elements=_BOUNDS))
+    nominal = data.draw(hnp.arrays(np.int64, (n_rows, n_samples),
+                                   elements=st.integers(0, n_leaves - 1)))
+    got = kernels.effort_matrix(costs, item, lo, hi, nominal)
+    ref = oracles.effort_matrix_loop(costs, item, lo, hi, nominal)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
