@@ -11,6 +11,7 @@ where numba is not installed):
 
 import argparse
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from robust_trees import (
     Dataset,
     DecisionTree,
     InstanceSpec,
+    PI_GRID,
     ScenarioSet,
     build_threshold_catalog,
     compute_budget,
@@ -35,6 +37,7 @@ from robust_trees import (
     solve_global,
     solve_master,
 )
+from robust_trees.adversary import worst_cases
 from robust_trees.kernels import BACKEND
 
 
@@ -119,6 +122,28 @@ def bench_post_process_depth2():
         post_process(tree, ds, compute_budget(ds, 0.1, 2, kind))
 
 
+def bench_worst_cases_shared():
+    inst = generate_instance(InstanceSpec(grid_side=4, n_train=5, n_test=1,
+                                          seed=5))
+    ds, space = inst.train, inst.space
+    rng = np.random.default_rng(5)
+    items, thetas = sample_random_structure(build_threshold_catalog(ds), 2,
+                                            rng)
+    optima = per_sample_optima(ds, space)
+    tree = DecisionTree(2, items, thetas,
+                        optima[rng.integers(len(optima), size=4)])
+    # the 9**3 threshold grid post_process evaluates for this tree; 71 of
+    # its rows need the knapsack search
+    options = []
+    for item, theta in zip(items, thetas):
+        vals = np.unique(ds.costs[:, item])
+        pos = np.searchsorted(vals, theta)
+        options.append([pi * vals[pos - 1] + (1.0 - pi) * vals[pos]
+                        for pi in PI_GRID])
+    rows = np.array(list(itertools.product(*options)))
+    worst_cases(tree, rows, ds, compute_budget(ds, 0.1, 2, "global"))
+
+
 BENCHMARKS = [
     ("grid_min_path", bench_grid_min_path),
     ("perturbation_cost", bench_perturbation_cost),
@@ -127,6 +152,7 @@ BENCHMARKS = [
     ("structure_scan", bench_structure_scan),
     ("structure_scan_fixed", bench_structure_scan_fixed),
     ("post_process_depth2", bench_post_process_depth2),
+    ("worst_cases_shared", bench_worst_cases_shared),
 ]
 
 

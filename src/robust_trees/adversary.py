@@ -16,9 +16,11 @@ Both run in one pass over a batch of threshold rows for one tree
 structure (items, leaves and depth fixed): ``worst_cases`` evaluates every
 row at once, building the boxes, the nominal routing and the effort
 matrix (``kernels.effort_matrix``) for the whole batch and the leaf values
-once.  The per-sample adversary is vectorized over rows; the shared-budget
-search runs once per row on that row's slice.  Every row's witness shift
-is rebuilt and replayed through its tree in one batched pass.
+once.  The per-sample adversary is vectorized over rows.  A shared budget
+needs no search on a row where all samples' best affordable upgrades fit
+in gamma together: each sample reaches its own bound, which no assignment
+beats.  The other rows run the search on their slice.  Every row's
+witness shift is rebuilt and replayed through its tree in one pass.
 ``worst_case`` (the package's one entry point for a budget: cut
 generation, ``robust_value`` and ``evaluate_robust`` go through it),
 ``solve_local``, ``solve_global``, ``perturbation_cost`` and
@@ -36,6 +38,8 @@ import numpy as np
 from . import kernels
 from .errors import InfeasibleTarget
 from .model import EPSILON, assignment_objective, leaf_values
+
+_FIT_MARGIN = 1e-9  # relative to 1 + gamma; absorbs rounding in effort sums
 
 
 @dataclass(frozen=True)
@@ -352,8 +356,8 @@ def _solve(tree, thresholds, dataset, kind, gamma, eps):
 
     Returns (objective, assignment, xi, effort) with a leading row axis.
     ``kind`` "local" is the per-sample adversary of :func:`solve_local`,
-    vectorized over rows; "global" the shared-budget search of
-    :func:`solve_global`, run once per row that has an affordable upgrade.
+    vectorized over rows; "global" the shared budget of :func:`solve_global`,
+    searched only on the rows whose top upgrades do not all fit.
     Objectives are recomputed canonically from the chosen assignment.
     """
     if gamma < 0:
@@ -367,10 +371,18 @@ def _solve(tree, thresholds, dataset, kind, gamma, eps):
         best = masked.max(axis=2)
         assignment = np.where(base == best, nominal, masked.argmax(axis=2))
     else:
-        assignment = nominal.copy()
         gain = values - base[:, :, None]
         afford = (rho <= gamma) & np.isfinite(rho) & (gain > 0)
-        for r in np.flatnonzero(afford.any(axis=(1, 2))):
+        # Top upgrades (largest gain, least effort, lowest leaf: the last
+        # entry of _upgrade_lists) that all fit in gamma are the optimum.
+        top_dv = np.where(afford, gain, -np.inf).max(axis=2, keepdims=True)
+        top_de = np.where(afford & (gain == top_dv), rho, np.inf)
+        top = top_de.argmin(axis=2)
+        has = afford.any(axis=2)
+        spent = np.where(has, top_de.min(axis=2), 0.0).sum(axis=1)
+        fits = spent <= gamma - _FIT_MARGIN * (1.0 + gamma)
+        assignment = np.where(fits[:, None] & has, top, nominal)
+        for r in np.flatnonzero(has.any(axis=1) & ~fits):
             _shared_upgrades(_upgrade_lists(afford[r], rho[r], gain[r]),
                              gamma, assignment[r])
     xi = _witnesses(dataset.costs, boxes, nominal, assignment)
@@ -399,10 +411,13 @@ def solve_local(tree, dataset, gamma, eps=EPSILON):
 def solve_global(tree, dataset, gamma, eps=EPSILON):
     """Worst case when one budget gamma is shared across all samples.
 
-    Exact: per-sample upgrades are dominance-filtered, their convex hulls
-    feed an LP-style greedy bound, and a depth-first branch and bound over
-    samples closes the search (``kernels.mckp_search``).  The reported
-    objective is recomputed canonically from the chosen assignment.
+    Exact: when every sample's best affordable upgrade fits in gamma
+    together with the others, each sample takes it, which is optimal as no
+    sample can gain more.  Otherwise per-sample upgrades are
+    dominance-filtered, their convex hulls feed an LP-style greedy bound,
+    and a depth-first branch and bound over samples closes the search
+    (``kernels.mckp_search``).  The reported objective is recomputed
+    canonically from the chosen assignment.
     """
     return _one(tree, dataset, "global", gamma, eps)
 

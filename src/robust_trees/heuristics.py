@@ -24,6 +24,7 @@ worst-case objective equals its nominal objective under any budget.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -222,9 +223,10 @@ def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
 
     Each round draws one solution per leaf (with replacement) from the
     deduplicated per-sample optima and fits the best split structure for
-    that leaf set by cut generation.  A round whose cut generation stalls
-    is dropped and the incumbent kept; :class:`ConvergenceStall` is raised
-    only when every round stalled.
+    that leaf set by cut generation, given the remaining time split evenly
+    over the rounds left (all of it when ``max_rounds`` is None).  A round
+    whose cut generation stalls is dropped and the incumbent kept;
+    :class:`ConvergenceStall` is raised only when every round stalled.
     """
     config = config if config is not None else HeuristicConfig()
     start = time.perf_counter()
@@ -233,13 +235,16 @@ def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
         catalog = build_threshold_catalog(dataset)
     optima = per_sample_optima(dataset, space)
     n_leaves = 2 ** config.depth
+    rounds_left = (itertools.repeat(1) if config.max_rounds is None
+                   else itertools.count(config.max_rounds, -1))
 
     def one_round(remaining):
         fixed = optima[rng.integers(len(optima), size=n_leaves)]
         try:
             rep = scenario_generation(dataset, budget, space, config.depth,
                                       catalog=catalog, fixed_leaves=fixed,
-                                      time_limit=remaining(), eps=eps)
+                                      time_limit=remaining()
+                                      / next(rounds_left), eps=eps)
         except ConvergenceStall:
             return None
         return rep.tree, rep.objective

@@ -12,6 +12,9 @@ NumPy blocks, and ``effort_matrix_loop`` the per-row loop behind
 ``kernels.effort_matrix``; the kernels must return bitwise the same
 results.  ``post_process_loop`` is threshold refinement evaluated one
 tree at a time, the reference for the batched ``post_process``.
+``solve_rows_search`` is the batched adversary with the shared-budget
+knapsack search run on every row, the reference for the rows on which
+``adversary._solve`` skips it.
 ``brute_force_global`` checks the shared-budget knapsack search alone: it
 walks every assignment over the package's own effort matrix and breaks
 ties the way the search does, so the two objectives must agree exactly.
@@ -373,3 +376,32 @@ def post_process_loop(tree, dataset, budget, pis, eps=1e-3,
     if best_val < ref - 1e-9:
         return tree.with_thresholds(np.asarray(best_combo))
     return tree
+
+
+def solve_rows_search(tree, thresholds, dataset, kind, gamma, eps):
+    """``adversary._solve`` with the shared-budget search run on every row
+    that has an affordable upgrade (``_upgrade_lists`` then
+    ``_shared_upgrades``).  Returns (objective, assignment, xi, effort)
+    with a leading row axis."""
+    from robust_trees import adversary, assignment_objective, leaf_values
+
+    boxes, nominal, rho = adversary._efforts(tree, thresholds, dataset, eps)
+    values = leaf_values(dataset, tree)
+    cols = np.arange(dataset.n_samples)
+    base = values[cols, nominal]
+    if kind == "local":
+        masked = np.where(rho <= gamma, values, -np.inf)
+        best = masked.max(axis=2)
+        assignment = np.where(base == best, nominal, masked.argmax(axis=2))
+    else:
+        assignment = nominal.copy()
+        gain = values - base[:, :, None]
+        afford = (rho <= gamma) & np.isfinite(rho) & (gain > 0)
+        for r in np.flatnonzero(afford.any(axis=(1, 2))):
+            adversary._shared_upgrades(
+                adversary._upgrade_lists(afford[r], rho[r], gain[r]), gamma,
+                assignment[r])
+    xi = adversary._witnesses(dataset.costs, boxes, nominal, assignment)
+    objective = assignment_objective(values, assignment)
+    effort = rho[np.arange(len(rho))[:, None], cols, assignment].sum(axis=1)
+    return objective, assignment, xi, effort

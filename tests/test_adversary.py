@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -328,6 +328,50 @@ def _batch_case(draw, max_depth=3, max_rows=5):
 def test_batch_matches_one_tree_at_a_time(case, kind, gamma):
     dataset, tree, rows = case
     _assert_batch_matches(tree, rows, dataset, UncertaintyBudget(kind, gamma))
+
+
+def _case(costs, items, thresholds, leaves):
+    thresholds = np.array(thresholds, dtype=np.float64)
+    tree = DecisionTree(int(np.log2(len(leaves))), items, thresholds,
+                        np.array(leaves, dtype=np.int8))
+    return Dataset(np.array(costs)), tree, thresholds[None]
+
+
+# Sample 0 gains 5 at leaves 1 and 2, both at effort 1 + EPSILON.
+_EQUAL_TOPS = _case([[0.0, 0.0, 5.0], [4.0, 4.0, 1.0]], [0, 1, 1],
+                    [1.0, 1.0, 1.0], [[0, 0, 0], [0, 0, 1], [0, 0, 1],
+                                      [1, 1, 0]])
+# At gamma equal to the summed top efforts, rounding in the search's
+# budget arithmetic leaves one top upgrade out.
+_ROUNDING = _case([[1.4, 2.4], [0.7, 0.2], [1.2, 0.6]], [0], [0.3],
+                  [[1, 1], [0, 0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_batch_case(), kind=st.sampled_from(["local", "global"]),
+       gamma=st.sampled_from([0.0, 3e-4, 0.3, 1.0, 1e6]),
+       edge=st.sampled_from([None, -0.5, 0.0, 0.5, 1.5]),
+       row=st.integers(0, 4))
+@example(case=_EQUAL_TOPS, kind="global", gamma=3.0, edge=None, row=0)
+@example(case=_ROUNDING, kind="global", gamma=0.0, edge=0.0, row=0)
+def test_no_search_rows_match_the_search(case, kind, gamma, edge, row):
+    """Rows whose top upgrades all fit skip the shared-budget search; every
+    row is still bitwise what the search on every row gives.  Few items
+    and 0/1 leaves give equal gains at different efforts and leaves.  An
+    ``edge`` sets gamma to one row's summed top efforts plus ``edge``
+    times the fit margin: short of the sum (-0.5), at it (0), within the
+    margin (0.5, searched) and just past it (1.5, not searched)."""
+    dataset, tree, rows = case
+    if edge is not None:
+        # under an ample budget every sample takes its top upgrade
+        spent = oracles.solve_rows_search(tree, rows, dataset, "global", 1e6,
+                                          EPSILON)[3][row % len(rows)]
+        gamma = max(0.0, spent + edge * adversary._FIT_MARGIN * (1.0 + spent))
+    got = adversary._solve(tree, rows, dataset, kind, gamma, EPSILON)
+    ref = oracles.solve_rows_search(tree, rows, dataset, kind, gamma,
+                                    EPSILON)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["local", "global"])

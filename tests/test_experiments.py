@@ -260,6 +260,16 @@ class TestCli:
                    f"sys.exit({attr}())")
         self._generate_then_solve([sys.executable, "-c", wrapper], tmp_path)
 
+    def test_python_m_runs_the_cli(self):
+        # A fresh interpreter with only the package directory on its path.
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=package_root)
+        proc = subprocess.run([sys.executable, "-m", "robust_trees", "--help"],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout
+
     @pytest.mark.skipif(shutil.which("robust-trees") is None,
                         reason="robust-trees executable not on PATH "
                                "(package not installed)")

@@ -1,4 +1,6 @@
 import itertools
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -243,6 +245,28 @@ class TestHSol:
         assert rep.extras["rounds"] == 3
         assert rep.objective == min(per_round[1:])
         assert rep.objective == robust_value(rep.tree, ds, budget)
+
+    @pytest.mark.parametrize("max_rounds", [3, None])
+    def test_rounds_share_the_time(self, monkeypatch, max_rounds):
+        ds, space = small_instance(13)
+        budget = compute_budget(ds, 0.1, 1, "local")
+        total = 30.0 if max_rounds else 1.0
+        cfg = HeuristicConfig(depth=1, time_limit=total, seed=2,
+                              max_rounds=max_rounds)
+        limits = []
+
+        def record(*args, time_limit, **kwargs):
+            limits.append(time_limit)
+            if len(limits) == 3 and max_rounds is None:
+                time.sleep(time_limit)
+            return SimpleNamespace(tree=object(), objective=1.0)
+
+        monkeypatch.setattr(heuristics, "scenario_generation", record)
+        h_sol(ds, budget, space, cfg)
+        # what is left over the rounds left, unspent time carried over;
+        # without max_rounds, all that is left
+        share = [10.0, 15.0, 30.0] if max_rounds else [1.0, 1.0, 1.0]
+        assert limits == pytest.approx(share, abs=0.1)
 
     def test_all_rounds_stalled_raises(self, monkeypatch):
         ds, space = small_instance(13)
