@@ -108,6 +108,18 @@ def bench_structure_scan_fixed():
     solve_master(ds, scen, space, depth=2, fixed_leaves=leaves)
 
 
+def bench_structure_scan_multi():
+    inst = generate_instance(InstanceSpec(grid_side=3, n_train=4, n_test=1,
+                                          seed=7))
+    ds, space = inst.train, inst.space
+    rng = np.random.default_rng(7)
+    scen = ScenarioSet.zero(ds.n_samples, ds.n_items)
+    for _ in range(2):
+        scen = scen.append(np.round(
+            rng.uniform(-2.0, 2.0, size=(ds.n_samples, ds.n_items)), 3))
+    solve_master(ds, scen, space, depth=2)
+
+
 def bench_post_process_depth2():
     inst = generate_instance(InstanceSpec(grid_side=4, n_train=5, n_test=1,
                                           seed=6))
@@ -151,6 +163,7 @@ BENCHMARKS = [
     ("leaf_assignment", bench_leaf_assignment),
     ("structure_scan", bench_structure_scan),
     ("structure_scan_fixed", bench_structure_scan_fixed),
+    ("structure_scan_multi", bench_structure_scan_multi),
     ("post_process_depth2", bench_post_process_depth2),
     ("worst_cases_shared", bench_worst_cases_shared),
 ]

@@ -210,8 +210,10 @@ def _shifts(costs, boxes, empty, assignment):
         raise InfeasibleTarget(
             f"cannot place item {item[r, j, p]} under {hi[r, j, p]}")
     xi = np.zeros((assignment.shape[0],) + costs.shape)
-    # an open slot's shift is +0.0 and leaves its item's shift as is
-    np.add.at(xi, (rows[:, :, None], cols[:, None], item), shift)
+    # An open slot repeats the item of an earlier slot with a +0.0 shift:
+    # writing slots last to first leaves each item its bound slot's shift.
+    for p in range(item.shape[2] - 1, -1, -1):
+        xi[rows, cols, item[:, :, p]] = shift[:, :, p]
     return xi
 
 

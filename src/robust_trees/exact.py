@@ -10,7 +10,10 @@ back to the first (item, threshold) representative — an exact reduction.
 Leaf assignment (``_assign_leaves``) decomposes per leaf whenever all
 scenarios route alike (then each leaf takes the pool solution minimizing
 its samples' summed costs); otherwise an exact branch and bound picks the
-leaf tuple.
+leaf tuple.  Over two or more scenarios the structure scan makes its
+running best each leaf search's cutoff: a routing with nothing strictly
+below it yields a ``(cutoff, None)`` certificate, which the per-routing memo
+keeps beside exact results and, as that best only falls, never recomputes.
 
 ``_cut_generation`` is the package's one cut-generation loop: it
 alternates a master with the exact adversary (``adversary.worst_case``),
@@ -158,7 +161,7 @@ def _route_matrix(pattern_bits, choices, depth):
     return leafm
 
 
-def _assign_leaves(values, leafm, n_leaves):
+def _assign_leaves(values, leafm, n_leaves, cutoff):
     """Pool index per leaf minimizing the worst routing, and its value.
 
     ``values[j, p]`` is sample j's cost under pool solution p and
@@ -166,6 +169,8 @@ def _assign_leaves(values, leafm, n_leaves):
     scenario routes alike the problem splits per leaf (each leaf takes the
     argmin of its samples' summed values); otherwise
     ``kernels.assign_minmax`` finds the leaf tuple by branch and bound.
+    Only values strictly below ``cutoff`` count: with none, the result is
+    the certificate ``(cutoff, None)``.
     """
     if (leafm == leafm[0]).all():
         tup = np.zeros(n_leaves, dtype=np.int64)
@@ -174,12 +179,24 @@ def _assign_leaves(values, leafm, n_leaves):
             colsum = values[leafm[0] == k].sum(axis=0)
             tup[k] = int(np.argmin(colsum))
             obj += float(colsum[tup[k]])
-        return obj, tup
-    agg = np.zeros((leafm.shape[0], n_leaves, values.shape[1]))
-    for s in range(leafm.shape[0]):
-        for k in range(n_leaves):
-            agg[s, k] = values[leafm[s] == k].sum(axis=0)
-    return kernels.assign_minmax(agg, agg.min(axis=2))
+    else:
+        agg = np.zeros((leafm.shape[0], n_leaves, values.shape[1]))
+        for s in range(leafm.shape[0]):
+            for k in range(n_leaves):
+                agg[s, k] = values[leafm[s] == k].sum(axis=0)
+        obj, tup = kernels.assign_minmax(agg, agg.min(axis=2), cutoff)
+    return (obj, tup) if obj < cutoff else (cutoff, None)
+
+
+def _assign_memo(memo, values, leafm, n_leaves, cutoff):
+    """``_assign_leaves`` through ``memo`` (keyed by the routing), which
+    holds exact results and ``(cutoff, None)`` certificates; a certificate
+    answers only calls whose cutoff is no higher than its own."""
+    key = leafm.tobytes()
+    hit = memo.get(key)
+    if hit is None or (hit[1] is None and hit[0] < cutoff):
+        hit = memo[key] = _assign_leaves(values, leafm, n_leaves, cutoff)
+    return hit
 
 
 def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
@@ -239,6 +256,7 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
                                                 best, lb)
     else:
         # One interpreted step per structure: check the time more often.
+        # The running best is each leaf search's cutoff (module docstring).
         step = _TIME_CHECK
         memo = {}
 
@@ -251,11 +269,7 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
                     choices[q] = rem % n_pat
                     rem //= n_pat
                 leafm = _route_matrix(pattern_bits, choices, depth)
-                key = leafm.tobytes()
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = _assign_leaves(values, leafm,
-                                                     2 ** depth)
+                hit = _assign_memo(memo, values, leafm, 2 ** depth, best)
                 if hit[0] < best:
                     best, improved, choice, tup = hit[0], True, choices, hit[1]
                     if best <= lb_stop:

@@ -141,7 +141,7 @@ def optimize_leaves_global(tree, dataset, gamma, pool, eps=EPSILON,
         obs = dataset.costs + scenarios.xi
         leafm = tree.traverse_batch(obs.reshape(-1, dataset.n_items))
         value, pick = _assign_leaves(values, leafm.reshape(obs.shape[:2]),
-                                     tree.n_leaves)
+                                     tree.n_leaves, np.inf)
         return tree.with_leaves(pool[pick]), value, True
 
     rep = _cut_generation(master, dataset, UncertaintyBudget.global_(gamma),

@@ -239,20 +239,22 @@ def _mckp_search(cand_ptr, cand_de, cand_dv, suffix_max,
 # Leaf-tuple assignment, scenario-coupled (minimize the max scenario sum)
 # ---------------------------------------------------------------------------
 
-def _assign_minmax(agg, minagg):
+def _assign_minmax(agg, minagg, cutoff):
     """Pick one candidate per leaf minimizing max_s of the summed values.
 
     agg[s, k, p]: total value of candidate p at leaf k under scenario s
     (summed over the samples the scenario routes to k).  minagg[s, k] is
-    the per-(s, k) minimum over p, used for the completion bound.
+    the per-(s, k) minimum over p, used for the completion bound.  From
+    ``cutoff`` as incumbent it returns the first minimal tuple when the
+    optimum is strictly below the cutoff, else (cutoff, all -1).
     """
     n_scen, n_leaves, n_pool = agg.shape
     suf = np.zeros((n_scen, n_leaves + 1), np.float64)
     for s in range(n_scen):
         for k in range(n_leaves - 1, -1, -1):
             suf[s, k] = suf[s, k + 1] + minagg[s, k]
-    best = np.inf
-    best_t = np.zeros(n_leaves, np.int64)
+    best = cutoff
+    best_t = np.full(n_leaves, -1, np.int64)
     cur_t = np.zeros(n_leaves, np.int64)
     part = np.zeros((n_leaves + 1, n_scen), np.float64)
     ci = np.zeros(n_leaves + 1, np.int64)

@@ -14,7 +14,11 @@ results.  ``post_process_loop`` is threshold refinement evaluated one
 tree at a time, the reference for the batched ``post_process``.
 ``solve_rows_search`` is the batched adversary with the shared-budget
 knapsack search run on every row, the reference for the rows on which
-``adversary._solve`` skips it.
+``adversary._solve`` skips it.  ``solve_master_loop`` is the
+multi-scenario structure scan with an uncut leaf search per routing, the
+reference for the cutoff ``exact.solve_master`` hands each search, and
+``shifts_add_at`` the witness scatter by ``np.add.at`` that
+``adversary._shifts`` replaces with a plain assignment.
 ``brute_force_global`` checks the shared-budget knapsack search alone: it
 walks every assignment over the package's own effort matrix and breaks
 ties the way the search does, so the two objectives must agree exactly.
@@ -405,3 +409,62 @@ def solve_rows_search(tree, thresholds, dataset, kind, gamma, eps):
     objective = assignment_objective(values, assignment)
     effort = rho[np.arange(len(rho))[:, None], cols, assignment].sum(axis=1)
     return objective, assignment, xi, effort
+
+
+def solve_master_loop(dataset, scenarios, pool, depth):
+    """``solve_master`` with free leaves over two or more scenarios: every
+    structure in odometer order (node 0 slowest), an uncut leaf search per
+    distinct routing, the first strict improvement kept and an early stop
+    at the relaxation bound.  Returns (tree, master objective)."""
+    from robust_trees import DecisionTree, build_threshold_catalog, exact
+
+    splits, bits, reps = exact._split_patterns(
+        dataset.costs, scenarios, build_threshold_catalog(dataset))
+    pool = np.asarray(pool, dtype=np.int8)
+    values = np.ascontiguousarray(dataset.costs @ pool.astype(np.float64).T)
+    lb = float(values.min(axis=1).sum())
+    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
+    memo = {}
+    best, best_choice, best_tup = math.inf, None, None
+    for choice in itertools.product(range(len(reps)), repeat=2 ** depth - 1):
+        leafm = exact._route_matrix(bits, choice, depth)
+        key = leafm.tobytes()
+        if key not in memo:
+            memo[key] = exact._assign_leaves(values, leafm, 2 ** depth,
+                                             math.inf)
+        obj, tup = memo[key]
+        if obj < best:
+            best, best_choice, best_tup = obj, choice, tup
+            if best <= lb_stop:
+                break
+    split = [splits[int(reps[c])] for c in best_choice]
+    tree = DecisionTree(depth, [i for i, _ in split], [t for _, t in split],
+                        pool[np.asarray(best_tup, dtype=np.int64)])
+    return tree, exact._master_objective(tree, dataset, scenarios)
+
+
+def shifts_add_at(costs, boxes, empty, assignment):
+    """``adversary._shifts`` scattering every slot's shift with
+    ``np.add.at``; an open slot adds its +0.0 to its item's shift."""
+    from robust_trees.errors import InfeasibleTarget
+
+    rows = np.arange(assignment.shape[0])[:, None]
+    cols = np.arange(costs.shape[0])
+    lo = boxes.lo[rows, assignment]
+    hi = boxes.hi[rows, assignment]
+    item = boxes.layout.item[assignment]
+    cost = costs[cols[:, None], item]
+    fits = ~empty[rows, assignment][:, :, None]
+    above = (cost > hi) & fits
+    shift = np.where((cost < lo) & fits, lo - cost,
+                     np.where(above, hi - cost, 0.0))
+    for _ in range(64):
+        over = above & (cost + shift > hi)
+        if not over.any():
+            break
+        shift = np.where(over, np.nextafter(shift, -np.inf), shift)
+    else:
+        raise InfeasibleTarget("cannot place an item under its upper edge")
+    xi = np.zeros((assignment.shape[0],) + costs.shape)
+    np.add.at(xi, (rows[:, :, None], cols[:, None], item), shift)
+    return xi

@@ -330,6 +330,29 @@ def test_batch_matches_one_tree_at_a_time(case, kind, gamma):
     _assert_batch_matches(tree, rows, dataset, UncertaintyBudget(kind, gamma))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_batch_case(), data=st.data())
+def test_shifts_match_the_add_at_scatter(case, data):
+    """The witness scatter assigns slots last to first, so an open slot
+    (a repeated item, +0.0 shift) never overwrites its item's bound slot;
+    the shifts are bitwise those of adding every slot with ``np.add.at``.
+    Few items on depth 1-3 paths make repeated items common."""
+    dataset, tree, rows = case
+    boxes = adversary._boxes(tree, rows, EPSILON)
+    empty = (boxes.lo > boxes.hi).any(axis=2)
+    assignment = data.draw(hnp.arrays(
+        np.int64, (len(rows), dataset.n_samples),
+        elements=st.integers(0, tree.n_leaves - 1)))
+    try:
+        ref = oracles.shifts_add_at(dataset.costs, boxes, empty, assignment)
+    except InfeasibleTarget:
+        with pytest.raises(InfeasibleTarget):
+            adversary._shifts(dataset.costs, boxes, empty, assignment)
+        return
+    got = adversary._shifts(dataset.costs, boxes, empty, assignment)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def _case(costs, items, thresholds, leaves):
     thresholds = np.array(thresholds, dtype=np.float64)
     tree = DecisionTree(int(np.log2(len(leaves))), items, thresholds,

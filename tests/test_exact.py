@@ -127,12 +127,9 @@ class TestSolveMaster:
             solve_master(flat, scen, demo_space, depth=1)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data(), n_pool=st.integers(1, 4), n_leaves=st.integers(2, 4),
-       n_scen=st.integers(1, 3), n_samples=st.integers(1, 6),
-       uniform=st.booleans())
-def test_assign_leaves_matches_exhaustive(data, n_pool, n_leaves, n_scen,
-                                          n_samples, uniform):
+def _draw_leaf_case(data, n_pool, n_leaves, n_scen, n_samples, uniform):
+    """Values (samples, pool) and a routing (scenarios, samples); a
+    uniform routing sends every scenario's samples alike."""
     values = np.array(data.draw(st.lists(
         st.lists(st.floats(0.0, 10.0), min_size=n_pool, max_size=n_pool),
         min_size=n_samples, max_size=n_samples)))
@@ -141,6 +138,40 @@ def test_assign_leaves_matches_exhaustive(data, n_pool, n_leaves, n_scen,
                  max_size=n_samples),
         min_size=1 if uniform else n_scen, max_size=1 if uniform else n_scen))
     leafm = np.array(routes * n_scen if uniform else routes, dtype=np.int64)
+    return values, leafm
+
+
+def _cutoff(obj, how):
+    """A cutoff placed relative to the uncut optimum ``obj``."""
+    return {"below": obj - 1.0, "just below": np.nextafter(obj, -np.inf),
+            "equal": obj, "just above": np.nextafter(obj, np.inf),
+            "above": obj + 1.0, "inf": np.inf}[how]
+
+
+_CUTS = st.sampled_from(["below", "just below", "equal", "just above",
+                         "above", "inf"])
+
+
+def _assert_same_assignment(got, ref):
+    """Bitwise the same value, and the same tuple or both certificates."""
+    assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+    assert (got[1] is None) == (ref[1] is None)
+    if ref[1] is not None:
+        assert got[1].dtype == ref[1].dtype
+        assert got[1].tobytes() == ref[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n_pool=st.integers(1, 4), n_leaves=st.integers(2, 4),
+       n_scen=st.integers(1, 3), n_samples=st.integers(1, 6),
+       uniform=st.booleans(), cut=_CUTS)
+def test_assign_leaves_matches_exhaustive(data, n_pool, n_leaves, n_scen,
+                                          n_samples, uniform, cut):
+    """The uncut search reaches the exhaustive optimum.  With a cutoff, an
+    optimum strictly below it comes back bitwise as without one; else the
+    result is the certificate (cutoff, None)."""
+    values, leafm = _draw_leaf_case(data, n_pool, n_leaves, n_scen,
+                                    n_samples, uniform)
 
     def worst(tup):
         return max(sum(values[j, tup[leafm[s, j]]] for j in range(n_samples))
@@ -148,9 +179,92 @@ def test_assign_leaves_matches_exhaustive(data, n_pool, n_leaves, n_scen,
 
     ref = min(worst(tup)
               for tup in itertools.product(range(n_pool), repeat=n_leaves))
-    obj, tup = exact._assign_leaves(values, leafm, n_leaves)
+    obj, tup = exact._assign_leaves(values, leafm, n_leaves, np.inf)
     assert obj == pytest.approx(ref, abs=1e-9)
     assert worst(tup) == pytest.approx(obj, abs=1e-9)
+    cutoff = _cutoff(obj, cut)
+    got = exact._assign_leaves(values, leafm, n_leaves, cutoff)
+    if obj < cutoff:
+        _assert_same_assignment(got, (obj, tup))
+    else:
+        _assert_same_assignment(got, (cutoff, None))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_pool=st.integers(1, 3),
+       n_leaves=st.integers(2, 4), n_scen=st.integers(1, 3),
+       n_samples=st.integers(1, 5), cut=_CUTS)
+def test_assign_leaves_keeps_the_first_minimal_tuple(seed, n_pool, n_leaves,
+                                                     n_scen, n_samples, cut):
+    """Quarter-integer values sum exactly and tie often; the search returns
+    the first minimal tuple in ``itertools.product`` order, with a cutoff
+    above the optimum as without one.  One scenario takes the per-leaf
+    path, more take the branch and bound."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 9, size=(n_samples, n_pool)) / 4
+    leafm = rng.integers(0, n_leaves, size=(n_scen, n_samples))
+    rows = np.arange(n_samples)
+    worst = [values[rows, np.asarray(tup)[leafm]].sum(axis=1).max()
+             for tup in itertools.product(range(n_pool), repeat=n_leaves)]
+    first = next(itertools.islice(
+        itertools.product(range(n_pool), repeat=n_leaves),
+        int(np.argmin(worst)), None))
+    cutoff = _cutoff(min(worst), cut)
+    obj, tup = exact._assign_leaves(values, leafm, n_leaves, cutoff)
+    if min(worst) < cutoff:
+        assert obj == min(worst) and tup.tolist() == list(first)
+    else:
+        assert obj == cutoff and tup is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n_pool=st.integers(1, 3), n_leaves=st.integers(2, 4),
+       n_samples=st.integers(1, 5),
+       calls=st.lists(st.tuples(st.integers(0, 2), _CUTS), min_size=1,
+                      max_size=8))
+def test_assign_memo_answers_as_a_fresh_search(data, n_pool, n_leaves,
+                                               n_samples, calls):
+    """Whatever the order of cutoffs, the memo answers with the exact
+    result, which it must when the optimum is below the cutoff, or with a
+    certificate (c, None), c between the cutoff and the optimum.  A
+    certificate stored under a low cutoff does not answer a higher one,
+    and a certificate is never taken as exact."""
+    values, _ = _draw_leaf_case(data, n_pool, n_leaves, 1, n_samples, True)
+    leafms = [_draw_leaf_case(data, 1, n_leaves, 2, n_samples, False)[1]
+              for _ in range(3)]
+    memo = {}
+    for r, cut in calls:
+        uncut = exact._assign_leaves(values, leafms[r], n_leaves, np.inf)
+        cutoff = _cutoff(uncut[0], cut)
+        got = exact._assign_memo(memo, values, leafms[r], n_leaves, cutoff)
+        if uncut[0] < cutoff or got[1] is not None:
+            _assert_same_assignment(got, uncut)
+        else:
+            assert cutoff <= got[0] <= uncut[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(1, 2),
+       n_random=st.integers(1, 3))
+def test_multi_scenario_master_matches_loop(seed, depth, n_random):
+    """With 2-4 scenarios, ``solve_master`` (each leaf search cut off at
+    the scan's running best) returns bitwise the tree and objective of the
+    uncut per-structure loop."""
+    rng = np.random.default_rng(seed)
+    n_samples = int(rng.integers(2, 5))
+    costs = rng.choice([0.0, 1.0, 2.5, 4.0, 7.5], size=(n_samples, 3))
+    ds = Dataset(costs)
+    pool = rng.integers(0, 2, size=(int(rng.integers(2, 5)), 3))
+    scen = ScenarioSet.zero(n_samples, 3)
+    for _ in range(n_random):
+        scen = scen.append(rng.choice([-2.0, -1.0, 0.0, 0.5, 3.0],
+                                      size=(n_samples, 3)))
+    rep = solve_master(ds, scen, None, depth=depth, pool=pool)
+    tree, obj = oracles.solve_master_loop(ds, scen, pool, depth)
+    assert rep.tree.items.tobytes() == tree.items.tobytes()
+    assert rep.tree.thresholds.tobytes() == tree.thresholds.tobytes()
+    assert rep.tree.leaves.tobytes() == tree.leaves.tobytes()
+    assert np.float64(rep.objective).tobytes() == np.float64(obj).tobytes()
 
 
 class TestScenarioGeneration:

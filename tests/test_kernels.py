@@ -62,10 +62,11 @@ class TestJitMatchesPython:
         for _ in range(30):
             agg = rng.uniform(0, 20, size=(3, 4, 5))
             minagg = agg.min(axis=2)
-            bj, tj = kernels.assign_minmax(agg, minagg)
-            bp, tp = kernels._assign_minmax(agg, minagg)
-            assert bj == bp
-            assert np.array_equal(tj, tp)
+            for cutoff in (np.inf, 20.0, 0.0):
+                bj, tj = kernels.assign_minmax(agg, minagg, cutoff)
+                bp, tp = kernels._assign_minmax(agg, minagg, cutoff)
+                assert bj == bp
+                assert np.array_equal(tj, tp)
 
     @needs_numba
     def test_assign_reach(self):
