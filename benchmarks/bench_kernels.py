@@ -7,6 +7,12 @@ and print a side-by-side table (the NumPy column alone, with a note,
 where numba is not installed):
 
     python3 benchmarks/bench_kernels.py --both
+
+``--case NAME`` (repeatable) runs only the named cases; the peak
+resident memory of the process is printed after the timings, so one
+case per process gives that case's peak:
+
+    python3 benchmarks/bench_kernels.py --case leaf_assignment_shared_grid4
 """
 
 import argparse
@@ -14,6 +20,7 @@ import importlib.util
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -29,6 +36,7 @@ from robust_trees import (
     build_threshold_catalog,
     compute_budget,
     generate_instance,
+    optimize_leaves_global,
     optimize_leaves_local,
     per_sample_optima,
     perturbation_cost,
@@ -84,6 +92,33 @@ def bench_leaf_assignment():
     tree = _tree_for(ds, 2, 3)
     for gamma in np.linspace(0.0, 3.0, 30):
         optimize_leaves_local(tree, ds, float(gamma), pool)
+
+
+def _shared_fills(grid):
+    # the shared-budget leaf fill of h_tree and h_alt at lambda 0.05 (cut
+    # generation over leaf tuples, kernels.assign_minmax its master): 20
+    # random depth-2 structures on each of three 5-sample instances
+    for seed in range(3):
+        inst = generate_instance(InstanceSpec(grid_side=grid, n_train=5,
+                                              n_test=1, seed=seed))
+        ds, space = inst.train, inst.space
+        pool = space.enumerate()
+        catalog = build_threshold_catalog(ds)
+        gamma = compute_budget(ds, 0.05, 2, "global").gamma
+        rng = np.random.default_rng(seed)
+        empty = np.zeros((4, ds.n_items), dtype=np.int8)
+        for _ in range(20):
+            items, thetas = sample_random_structure(catalog, 2, rng)
+            optimize_leaves_global(DecisionTree(2, items, thetas, empty), ds,
+                                   gamma, pool)
+
+
+def bench_leaf_assignment_shared():
+    _shared_fills(3)
+
+
+def bench_leaf_assignment_shared_grid4():
+    _shared_fills(4)  # pool of 20 paths
 
 
 def bench_structure_scan():
@@ -161,6 +196,8 @@ BENCHMARKS = [
     ("perturbation_cost", bench_perturbation_cost),
     ("solve_global", bench_solve_global),
     ("leaf_assignment", bench_leaf_assignment),
+    ("leaf_assignment_shared", bench_leaf_assignment_shared),
+    ("leaf_assignment_shared_grid4", bench_leaf_assignment_shared_grid4),
     ("structure_scan", bench_structure_scan),
     ("structure_scan_fixed", bench_structure_scan_fixed),
     ("structure_scan_multi", bench_structure_scan_multi),
@@ -169,9 +206,11 @@ BENCHMARKS = [
 ]
 
 
-def run_suite(repeat):
+def run_suite(repeat, cases):
     results = {}
     for name, fn in BENCHMARKS:
+        if cases and name not in cases:
+            continue
         fn()  # warm-up triggers compilation under numba
         best = min(_timed(fn) for _ in range(repeat))
         results[name] = best
@@ -201,6 +240,9 @@ def main():
                         help="emit raw timings as JSON")
     parser.add_argument("--repeat", type=int, default=3,
                         help="timed repetitions per benchmark (best wins)")
+    parser.add_argument("--case", action="append",
+                        choices=[name for name, _ in BENCHMARKS],
+                        help="run only this case (repeatable)")
     args = parser.parse_args()
 
     if args.both:
@@ -221,13 +263,15 @@ def main():
                   f"  {ratio:>7.1f}x")
         return
 
-    results = run_suite(args.repeat)
+    results = run_suite(args.repeat, args.case)
     if args.json:
         print(json.dumps(results))
         return
     print(f"backend: {BACKEND}")
     for name, seconds in results.items():
         print(f"  {name}: {seconds:.3f}s")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"peak resident memory: {peak:.2f} MB")
 
 
 if __name__ == "__main__":

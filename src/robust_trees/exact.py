@@ -9,11 +9,13 @@ so the search enumerates distinct routing *patterns* and maps the winner
 back to the first (item, threshold) representative — an exact reduction.
 Leaf assignment (``_assign_leaves``) decomposes per leaf whenever all
 scenarios route alike (then each leaf takes the pool solution minimizing
-its samples' summed costs); otherwise an exact branch and bound picks the
-leaf tuple.  Over two or more scenarios the structure scan makes its
-running best each leaf search's cutoff: a routing with nothing strictly
-below it yields a ``(cutoff, None)`` certificate, which the per-routing memo
-keeps beside exact results and, as that best only falls, never recomputes.
+its samples' summed costs); otherwise ``kernels.assign_minmax``, an exact
+blocked NumPy search over leaf tuples under either backend, picks the
+first minimal tuple.  Over two or more scenarios the structure scan makes
+its running best each leaf search's cutoff: a routing with nothing
+strictly below it yields a ``(cutoff, None)`` certificate, which the
+per-routing memo keeps beside exact results and, as that best only falls,
+never recomputes.
 
 ``_cut_generation`` is the package's one cut-generation loop: it
 alternates a master with the exact adversary (``adversary.worst_case``),
@@ -165,25 +167,28 @@ def _assign_leaves(values, leafm, n_leaves, cutoff):
     """Pool index per leaf minimizing the worst routing, and its value.
 
     ``values[j, p]`` is sample j's cost under pool solution p and
-    ``leafm[s, j]`` the leaf sample j reaches under scenario s.  When every
-    scenario routes alike the problem splits per leaf (each leaf takes the
-    argmin of its samples' summed values); otherwise
-    ``kernels.assign_minmax`` finds the leaf tuple by branch and bound.
-    Only values strictly below ``cutoff`` count: with none, the result is
-    the certificate ``(cutoff, None)``.
+    ``leafm[s, j]`` the leaf sample j reaches under scenario s.  The
+    per-(scenario, leaf) sums add the samples in order from 0.0, as the
+    structure scans do: one masked add per sample, whose 0.0 elsewhere
+    leaves every sum bitwise as it is.  When every scenario routes alike
+    the problem splits per leaf (each leaf takes the argmin of its summed
+    values); otherwise ``kernels.assign_minmax``, a blocked NumPy search,
+    finds the first minimal leaf tuple.  Only values strictly below
+    ``cutoff`` count: with none, the result is the certificate
+    ``(cutoff, None)``.
     """
-    if (leafm == leafm[0]).all():
-        tup = np.zeros(n_leaves, dtype=np.int64)
+    alike = (leafm == leafm[0]).all()
+    routes = leafm[:1] if alike else leafm
+    hit = (routes[:, None] == np.arange(n_leaves)[:, None])[..., None]
+    agg = np.zeros((routes.shape[0], n_leaves, values.shape[1]))
+    for j in range(values.shape[0]):
+        agg += np.where(hit[:, :, j], values[j], 0.0)
+    if alike:
+        tup = agg[0].argmin(axis=1)
         obj = 0.0
         for k in range(n_leaves):
-            colsum = values[leafm[0] == k].sum(axis=0)
-            tup[k] = int(np.argmin(colsum))
-            obj += float(colsum[tup[k]])
+            obj += float(agg[0, k, tup[k]])
     else:
-        agg = np.zeros((leafm.shape[0], n_leaves, values.shape[1]))
-        for s in range(leafm.shape[0]):
-            for k in range(n_leaves):
-                agg[s, k] = values[leafm[s] == k].sum(axis=0)
         obj, tup = kernels.assign_minmax(agg, agg.min(axis=2), cutoff)
     return (obj, tup) if obj < cutoff else (cutoff, None)
 

@@ -13,11 +13,13 @@ Both paths run the identical code and return identical results; only the
 speed differs.  ``benchmarks/bench_kernels.py`` measures the gap.
 
 The split-structure scans (``scan_structures_free``,
-``scan_structures_fixed``) and ``effort_matrix`` are NumPy code under
-either backend: the scans evaluate blocks of consecutive structures at
-once, the effort matrix a batch of threshold rows of one tree structure,
-and each returns bitwise what a loop over one structure or one row
-returns (``tests/oracles.py`` keeps those loops as their reference).
+``scan_structures_fixed``), ``effort_matrix`` and the scenario-coupled
+leaf search ``assign_minmax`` are NumPy code under either backend: the
+scans evaluate blocks of consecutive structures at once, the effort
+matrix a batch of threshold rows of one tree structure, and the leaf
+search blocks of leaf-tuple prefixes in lexicographic order.  Each
+returns bitwise what the matching one-at-a-time loop returns
+(``tests/oracles.py`` keeps those loops as their reference).
 
 Branch-and-bound kernels use small safety margins (1e-9 absolute) so that
 float rounding in bound arithmetic can never prune a strictly better
@@ -31,6 +33,9 @@ import os
 import numpy as np
 
 _PRUNE_MARGIN = 1e-9
+_BLOCK_ELEMS = 2 ** 13
+"""Cap on the elements of any temporary array a scan or leaf-search block
+allocates."""
 
 _env = os.environ.get("ROBUST_TREES_BACKEND", "").strip().lower()
 if _env not in ("", "numpy", "numba"):
@@ -239,58 +244,84 @@ def _mckp_search(cand_ptr, cand_de, cand_dv, suffix_max,
 # Leaf-tuple assignment, scenario-coupled (minimize the max scenario sum)
 # ---------------------------------------------------------------------------
 
-def _assign_minmax(agg, minagg, cutoff):
+def assign_minmax(agg, minagg, cutoff):
     """Pick one candidate per leaf minimizing max_s of the summed values.
 
     agg[s, k, p]: total value of candidate p at leaf k under scenario s
     (summed over the samples the scenario routes to k).  minagg[s, k] is
-    the per-(s, k) minimum over p, used for the completion bound.  From
-    ``cutoff`` as incumbent it returns the first minimal tuple when the
-    optimum is strictly below the cutoff, else (cutoff, all -1).
+    the per-(s, k) minimum over p, used for the completion bound.  Returns
+    the first minimal tuple in lexicographic order (leaf 0 slowest) and
+    its value when that value is strictly below ``cutoff``, else
+    (cutoff, all -1).  A tuple's value sums its leaves in leaf order from
+    0.0 under each scenario, as a loop over the tuple would.
+
+    A grid of tuples that fits in one block (``_BLOCK_ELEMS``) is
+    evaluated in one broadcast.  Otherwise prefixes are expanded level by
+    level in lexicographic chunks, depth first, and a prefix is pruned
+    once its completion bound (partial sums plus the suffix of
+    ``minagg``, maximized over scenarios) reaches the running best plus
+    ``_PRUNE_MARGIN``; the best moves only on strict improvement.  The
+    bound is also held against the value of the tuple taking, per leaf,
+    the candidate with the smallest worst scenario value: that prunes
+    from the first chunk on and keeps every tuple at or below the
+    optimum, so the first minimal tuple is still found.
     """
     n_scen, n_leaves, n_pool = agg.shape
-    suf = np.zeros((n_scen, n_leaves + 1), np.float64)
-    for s in range(n_scen):
-        for k in range(n_leaves - 1, -1, -1):
-            suf[s, k] = suf[s, k + 1] + minagg[s, k]
+    no_tuple = np.full(n_leaves, -1, np.int64)
+    if n_pool ** n_leaves * n_scen <= _BLOCK_ELEMS:
+        part = np.zeros((n_scen, 1))
+        for k in range(n_leaves):
+            part = (part[:, :, None] + agg[:, k, None]).reshape(n_scen, -1)
+        val = part.max(axis=0)
+        i = int(np.argmin(val))
+        if not val[i] < cutoff:
+            return cutoff, no_tuple
+        return val[i], np.array(np.unravel_index(i, (n_pool,) * n_leaves),
+                                dtype=np.int64)
+
+    suf = np.zeros((n_leaves + 1, n_scen, 1))
+    for k in range(n_leaves - 1, -1, -1):
+        suf[k, :, 0] = suf[k + 1, :, 0] + minagg[:, k]
+    ceiling = np.zeros(n_scen)
+    for k, p in enumerate(agg.max(axis=0).argmin(axis=1)):
+        ceiling += agg[:, k, p]
+    ceiling = ceiling.max()
+    # A chunk's children, their bounds and their pruned copy are alive
+    # together: a quarter block each.
+    rows = max(1, _BLOCK_ELEMS // (4 * n_pool * n_scen))
+    cands = np.arange(n_pool)
     best = cutoff
-    best_t = np.full(n_leaves, -1, np.int64)
-    cur_t = np.zeros(n_leaves, np.int64)
-    part = np.zeros((n_leaves + 1, n_scen), np.float64)
-    ci = np.zeros(n_leaves + 1, np.int64)
-    t = 0
-    while t >= 0:
-        if t == n_leaves:
-            v = part[t, 0]
-            for s in range(1, n_scen):
-                if part[t, s] > v:
-                    v = part[t, s]
-            if v < best:
-                best = v
-                for q in range(n_leaves):
-                    best_t[q] = cur_t[q]
-            t -= 1
-            continue
-        if ci[t] == 0:
-            bnd = -np.inf
-            for s in range(n_scen):
-                w = part[t, s] + suf[s, t]
-                if w > bnd:
-                    bnd = w
-            if bnd >= best + _PRUNE_MARGIN:
-                ci[t] = n_pool
-        if ci[t] >= n_pool:
-            ci[t] = 0
-            t -= 1
-            continue
-        p = ci[t]
-        ci[t] += 1
-        cur_t[t] = p
-        for s in range(n_scen):
-            part[t + 1, s] = part[t, s] + agg[s, t, p]
-        t += 1
-        ci[t] = 0
-    return best, best_t
+    best_code = -1
+
+    def expand(level, code, part, bound):
+        # code: prefixes as base-n_pool integers, part[s]: their partial
+        # sums under scenario s, bound: their completion bounds
+        nonlocal best, best_code
+        for lo in range(0, code.shape[0], rows):
+            keep = bound[lo:lo + rows] < min(best, ceiling) + _PRUNE_MARGIN
+            if not keep.any():
+                continue
+            child = (part[:, lo:lo + rows][:, keep, None]
+                     + agg[:, level, None]).reshape(n_scen, -1)
+            child_code = (code[lo:lo + rows][keep, None] * n_pool
+                          + cands).ravel()
+            if level + 1 == n_leaves:
+                val = child.max(axis=0)
+                i = int(np.argmin(val))
+                if val[i] < best:
+                    best, best_code = val[i], child_code[i]
+                continue
+            bnd = (child + suf[level + 1]).max(axis=0)
+            live = bnd < min(best, ceiling) + _PRUNE_MARGIN
+            child = child[:, live]
+            expand(level + 1, child_code[live], child, bnd[live])
+
+    expand(0, np.zeros(1, np.int64), np.zeros((n_scen, 1)),
+           suf[0].max(axis=0))
+    if best_code < 0:
+        return cutoff, no_tuple
+    return best, np.array(np.unravel_index(best_code, (n_pool,) * n_leaves),
+                          dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +384,6 @@ def _assign_reach(values, reach, minval, last_reach):
 # ---------------------------------------------------------------------------
 # Split-structure scans
 # ---------------------------------------------------------------------------
-
-_BLOCK_ELEMS = 2 ** 13
-"""Cap on the elements of any temporary array a scan block allocates."""
-
 
 def _decode(lo, hi, n_pat, n_nodes):
     """Split choice per node of structures [lo, hi), node 0 slowest."""
@@ -474,5 +501,4 @@ _mckp_lp_bound = _maybe_jit(_mckp_lp_bound)
 
 grid_min_path = _maybe_jit(_grid_min_path)
 mckp_search = _maybe_jit(_mckp_search)
-assign_minmax = _maybe_jit(_assign_minmax)
 assign_reach = _maybe_jit(_assign_reach)

@@ -8,10 +8,12 @@ is exhaustive enumeration.  Only trivial accessors of the package
 
 ``scan_structures_free`` and ``scan_structures_fixed`` are the
 one-structure-at-a-time loops that ``robust_trees.kernels`` evaluates in
-NumPy blocks, and ``effort_matrix_loop`` the per-row loop behind
-``kernels.effort_matrix``; the kernels must return bitwise the same
-results.  ``post_process_loop`` is threshold refinement evaluated one
-tree at a time, the reference for the batched ``post_process``.
+NumPy blocks, ``effort_matrix_loop`` the per-row loop behind
+``kernels.effort_matrix``, and ``assign_minmax_loop`` the one-node-at-a-
+time branch and bound behind the blocked ``kernels.assign_minmax``; the
+kernels must return bitwise the same results.  ``post_process_loop`` is
+threshold refinement evaluated one tree at a time, the reference for the
+batched ``post_process``.
 ``solve_rows_search`` is the batched adversary with the shared-budget
 knapsack search run on every row, the reference for the rows on which
 ``adversary._solve`` skips it.  ``solve_master_loop`` is the
@@ -229,6 +231,63 @@ def best_leaf_fill_value(tree, dataset, budget, pool, eps):
         cand = tree.with_leaves(pool[list(pick)])
         best = min(best, adversary_value(cand, dataset, budget, eps))
     return best
+
+
+def assign_minmax_loop(agg, minagg, cutoff):
+    """Depth-first branch and bound over leaf tuples, one node at a time:
+    the reference for ``kernels.assign_minmax``.
+
+    Children are visited in candidate order (leaf 0 slowest), a subtree
+    is pruned once max_s(partial sum + suffix of ``minagg``) reaches the
+    incumbent plus the kernels' prune margin, and the incumbent, starting
+    at ``cutoff``, moves only on strict improvement.  Returns (value,
+    tuple), or (cutoff, all -1) when no tuple is strictly below it.
+    """
+    from robust_trees.kernels import _PRUNE_MARGIN
+
+    n_scen, n_leaves, n_pool = agg.shape
+    suf = np.zeros((n_scen, n_leaves + 1), np.float64)
+    for s in range(n_scen):
+        for k in range(n_leaves - 1, -1, -1):
+            suf[s, k] = suf[s, k + 1] + minagg[s, k]
+    best = cutoff
+    best_t = np.full(n_leaves, -1, np.int64)
+    cur_t = np.zeros(n_leaves, np.int64)
+    part = np.zeros((n_leaves + 1, n_scen), np.float64)
+    ci = np.zeros(n_leaves + 1, np.int64)
+    t = 0
+    while t >= 0:
+        if t == n_leaves:
+            v = part[t, 0]
+            for s in range(1, n_scen):
+                if part[t, s] > v:
+                    v = part[t, s]
+            if v < best:
+                best = v
+                for q in range(n_leaves):
+                    best_t[q] = cur_t[q]
+            t -= 1
+            continue
+        if ci[t] == 0:
+            bnd = -np.inf
+            for s in range(n_scen):
+                w = part[t, s] + suf[s, t]
+                if w > bnd:
+                    bnd = w
+            if bnd >= best + _PRUNE_MARGIN:
+                ci[t] = n_pool
+        if ci[t] >= n_pool:
+            ci[t] = 0
+            t -= 1
+            continue
+        p = ci[t]
+        ci[t] += 1
+        cur_t[t] = p
+        for s in range(n_scen):
+            part[t + 1, s] = part[t, s] + agg[s, t, p]
+        t += 1
+        ci[t] = 0
+    return best, best_t
 
 
 def scan_structures_free(bits, values, depth, start, stop, best_in, lb):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,18 +58,6 @@ class TestJitMatchesPython:
         assert (np.take_along_axis(got, nominal[:, :, None], 2) == 0).all()
 
     @needs_numba
-    def test_assign_minmax(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            agg = rng.uniform(0, 20, size=(3, 4, 5))
-            minagg = agg.min(axis=2)
-            for cutoff in (np.inf, 20.0, 0.0):
-                bj, tj = kernels.assign_minmax(agg, minagg, cutoff)
-                bp, tp = kernels._assign_minmax(agg, minagg, cutoff)
-                assert bj == bp
-                assert np.array_equal(tj, tp)
-
-    @needs_numba
     def test_assign_reach(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
@@ -82,6 +71,56 @@ class TestJitMatchesPython:
             bp, tp = kernels._assign_reach(*args)
             assert bj == bp
             assert np.array_equal(tj, tp)
+
+
+def _assert_same_search(got, ref):
+    assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+    assert got[1].dtype == ref[1].dtype
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize("n_leaves", [1, 2, 4, 8])
+def test_assign_minmax_matches_loop(monkeypatch, n_leaves):
+    """The NumPy leaf search returns bitwise the value and tuple of the
+    one-node-at-a-time branch and bound: random and integer-tied values,
+    cutoffs of inf, below, at and far below the optimum, one to six
+    scenarios, and blocks from the default down to one prefix a chunk
+    (the default evaluates the small grids in one broadcast)."""
+    rng = np.random.default_rng(13 + n_leaves)
+    pools = (1, 2, 3) if n_leaves == 8 else (1, 3, 6)
+    for n_scen in range(1, 7):
+        for n_pool in pools:
+            for tied in (False, True):
+                shape = (n_scen, n_leaves, n_pool)
+                agg = (rng.integers(0, 4, size=shape).astype(np.float64)
+                       if tied else rng.uniform(0, 20, size=shape))
+                minagg = agg.min(axis=2)
+                opt = oracles.assign_minmax_loop(agg, minagg, np.inf)[0]
+                for cutoff in (np.inf, opt - 0.5, opt, 0.0):
+                    ref = oracles.assign_minmax_loop(agg, minagg, cutoff)
+                    for block in (kernels._BLOCK_ELEMS, 400, 50, 1):
+                        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block)
+                        _assert_same_search(
+                            kernels.assign_minmax(agg, minagg, cutoff), ref)
+                    monkeypatch.undo()
+
+
+def test_assign_minmax_memory_stays_within_blocks():
+    """A grid-4 sized search (8 scenarios, 4 leaves, 20 paths: 1.28
+    million tuple sums) keeps its temporaries in blocks: well under 1 MB
+    at its peak, and the result is the loop's."""
+    rng = np.random.default_rng(21)
+    agg = rng.integers(0, 6, size=(8, 4, 20)).astype(np.float64)
+    minagg = agg.min(axis=2)
+    ref = oracles.assign_minmax_loop(agg, minagg, np.inf)
+    tracemalloc.start()
+    try:
+        got = kernels.assign_minmax(agg, minagg, np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    _assert_same_search(got, ref)
 
 
 _BACKEND_SCRIPT = r"""
