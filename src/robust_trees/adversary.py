@@ -450,8 +450,14 @@ def evaluate_robust(tree, dataset, budget, space=None, eps=EPSILON):
     When ``space`` is passed, the tree's leaves are checked against it
     first.
     """
+    check_leaves(tree, space)
+    return worst_case(tree, dataset, budget, eps).objective
+
+
+def check_leaves(tree, space):
+    """Raise ValueError at the first leaf of ``tree`` that ``space`` does
+    not hold; no check when ``space`` is None."""
     if space is not None:
         for k in range(tree.n_leaves):
             if not space.is_feasible(tree.leaves[k]):
                 raise ValueError(f"leaf {k} is not feasible in the given space")
-    return worst_case(tree, dataset, budget, eps).objective

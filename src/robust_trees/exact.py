@@ -11,11 +11,12 @@ Leaf assignment (``_assign_leaves``) decomposes per leaf whenever all
 scenarios route alike (then each leaf takes the pool solution minimizing
 its samples' summed costs); otherwise ``kernels.assign_minmax``, an exact
 blocked NumPy search over leaf tuples under either backend, picks the
-first minimal tuple.  Over two or more scenarios the structure scan makes
-its running best each leaf search's cutoff: a routing with nothing
-strictly below it yields a ``(cutoff, None)`` certificate, which the
-per-routing memo keeps beside exact results and, as that best only falls,
-never recomputes.
+first minimal tuple.  All three structure searches run through the block
+scan ``kernels.scan_structures``.  Over two or more scenarios it makes its
+running best, also inside a block, each leaf search's cutoff: a routing
+with nothing strictly below it yields a ``(cutoff, None)`` certificate,
+which the per-routing memo keeps beside exact results and, as that best
+only falls, never recomputes.
 
 ``_cut_generation`` is the package's one cut-generation loop: it
 alternates a master with the exact adversary (``adversary.worst_case``),
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -139,28 +141,10 @@ def _split_patterns(costs, scenarios, catalog):
 
 
 def _master_objective(tree, dataset, scenarios):
-    values = leaf_values(dataset, tree)
-    best = -np.inf
-    for s in range(scenarios.n_scenarios):
-        assign = tree.traverse_batch(dataset.costs + scenarios.xi[s])
-        best = max(best, assignment_objective(values, assign))
-    return best
-
-
-def _route_matrix(pattern_bits, choices, depth):
-    """Leaf of each (scenario, sample) for one choice of node patterns."""
-    n_scen = pattern_bits.shape[1]
-    n = pattern_bits.shape[2]
-    ch = np.asarray(choices, dtype=np.int64)
-    leafm = np.empty((n_scen, n), dtype=np.int64)
-    cols = np.arange(n)
-    for s in range(n_scen):
-        node = np.zeros(n, dtype=np.int64)
-        for _ in range(depth):
-            left = pattern_bits[ch[node], s, cols].astype(bool)
-            node = np.where(left, 2 * node + 1, 2 * node + 2)
-        leafm[s] = node - (2 ** depth - 1)
-    return leafm
+    obs = dataset.costs + scenarios.xi
+    leafm = tree.traverse_batch(obs.reshape(-1, dataset.n_items))
+    return float(assignment_objective(leaf_values(dataset, tree),
+                                      leafm.reshape(obs.shape[:2])).max())
 
 
 def _assign_leaves(values, leafm, n_leaves, cutoff):
@@ -245,49 +229,47 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
     lb = float(values.min(axis=1).sum())
     lb_stop = lb + 1e-12 * (1.0 + abs(lb))
 
-    # Each scan covers structures [lo, hi) and returns (best, improved,
-    # choice, leaf tuple): the first strict improvement on ``best`` that
-    # reaches ``lb_stop``, else the first minimum of the window.
+    # Each scan(lo, hi, best, lb) covers structures [lo, hi) and returns
+    # (best, improved, choice) and, with free leaves, the leaf tuple: the
+    # first strict improvement on ``best`` that reaches ``lb_stop``, else
+    # the first minimum of the window.
     step = _CHUNK
     if fixed_leaves is not None:
-        def scan(lo, hi, best):
-            return kernels.scan_structures_fixed(
-                pattern_bits, values, depth, lo, hi, best, lb) + (None,)
+        scan = partial(kernels.scan_structures_fixed, pattern_bits, values,
+                       depth)
     elif scenarios.n_scenarios == 1:
-        bits2 = np.ascontiguousarray(pattern_bits[:, 0, :])
-
-        def scan(lo, hi, best):
-            return kernels.scan_structures_free(bits2, values, depth, lo, hi,
-                                                best, lb)
+        scan = partial(kernels.scan_structures_free,
+                       np.ascontiguousarray(pattern_bits[:, 0, :]), values,
+                       depth)
     else:
-        # One interpreted step per structure: check the time more often.
-        # The running best is each leaf search's cutoff (module docstring).
+        # One leaf search per structure: check the time more often.  The
+        # cutoff is the running best (module docstring); a certificate
+        # ties with it, so it never counts as an improvement.
         step = _TIME_CHECK
         memo = {}
 
-        def scan(lo, hi, best):
-            improved, choice, tup = False, None, None
-            for it in range(lo, hi):
-                rem = it
-                choices = [0] * n_nodes
-                for q in range(n_nodes - 1, -1, -1):
-                    choices[q] = rem % n_pat
-                    rem //= n_pat
-                leafm = _route_matrix(pattern_bits, choices, depth)
-                hit = _assign_memo(memo, values, leafm, 2 ** depth, best)
-                if hit[0] < best:
-                    best, improved, choice, tup = hit[0], True, choices, hit[1]
+        def objective(leaf, best):
+            obj = np.full(leaf.shape[0], np.inf)
+            tuples = [None] * leaf.shape[0]
+            for r in range(leaf.shape[0]):
+                obj[r], tuples[r] = _assign_memo(memo, values, leaf[r],
+                                                 2 ** depth, best)
+                if obj[r] < best:
+                    best = obj[r]
                     if best <= lb_stop:
                         break
-            return best, improved, choice, tup
+            return obj, tuples
+
+        scan = partial(kernels.scan_structures, pattern_bits, depth,
+                       obj_elems=0, objective=objective)
 
     timed_out = False
-    best_obj, best_choice, best_tuple = np.inf, None, None
+    best_obj, best_found = np.inf, None
     for lo in range(0, total, step):
         hi = min(lo + step, total)
-        obj, improved, choice, tup = scan(lo, hi, best_obj)
+        obj, improved, *found = scan(lo, hi, best_obj, lb)
         if improved:
-            best_obj, best_choice, best_tuple = obj, choice, tup
+            best_obj, best_found = obj, found
         if best_obj <= lb_stop:
             break
         if (hi < total and time_limit is not None
@@ -295,11 +277,11 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
             timed_out = True
             break
     if fixed_leaves is None:
-        leaves = leaves[np.asarray(best_tuple, dtype=np.int64)]
+        leaves = leaves[np.asarray(best_found[1], dtype=np.int64)]
 
     rep_items = []
     rep_thetas = []
-    for c in best_choice:
+    for c in best_found[0]:
         i, theta = splits[int(reps[int(c)])]
         rep_items.append(i)
         rep_thetas.append(theta)
@@ -396,10 +378,7 @@ def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,
     grid, so no extra evaluation is needed; otherwise ``input_objective``
     is used as the reference (one extra row when omitted).
     """
-    if space is not None:
-        for k in range(tree.n_leaves):
-            if not space.is_feasible(tree.leaves[k]):
-                raise ValueError(f"leaf {k} is not feasible in the given space")
+    adversary.check_leaves(tree, space)
     if tree.depth == 0:
         adversary.worst_cases(tree, tree.thresholds[None], dataset, budget,
                               eps)

@@ -1,8 +1,9 @@
 """Hot numerical kernels.
 
-Most kernels are branch-and-bound searches or dynamic programs written
-once as plain loops over numpy arrays and compiled with numba when it is
-available.  At import time the module decides which backend runs them:
+Three kernels are loops over numpy arrays written once and compiled with
+numba when it is available: ``grid_min_path`` (a dynamic program),
+``mckp_search`` and ``assign_reach`` (branch-and-bound searches).  At
+import time the module decides which backend runs them:
 
 * ``ROBUST_TREES_BACKEND=numba`` forces compilation (ImportError if numba
   is missing),
@@ -12,14 +13,15 @@ available.  At import time the module decides which backend runs them:
 Both paths run the identical code and return identical results; only the
 speed differs.  ``benchmarks/bench_kernels.py`` measures the gap.
 
-The split-structure scans (``scan_structures_free``,
-``scan_structures_fixed``), ``effort_matrix`` and the scenario-coupled
-leaf search ``assign_minmax`` are NumPy code under either backend: the
-scans evaluate blocks of consecutive structures at once, the effort
-matrix a batch of threshold rows of one tree structure, and the leaf
-search blocks of leaf-tuple prefixes in lexicographic order.  Each
-returns bitwise what the matching one-at-a-time loop returns
-(``tests/oracles.py`` keeps those loops as their reference).
+The rest is NumPy code under either backend.  ``scan_structures``, the
+one split-structure scan, decodes, routes and settles blocks of
+consecutive structures; its caller supplies each block's objectives
+(``scan_structures_free``, ``scan_structures_fixed`` and the
+multi-scenario search of ``exact.solve_master``).  ``effort_matrix``
+evaluates a batch of threshold rows of one tree structure, and
+``assign_minmax`` blocks of leaf-tuple prefixes.  Each returns bitwise
+what the matching one-at-a-time loop returns (``tests/oracles.py`` keeps
+those loops as their reference).
 
 Branch-and-bound kernels use small safety margins (1e-9 absolute) so that
 float rounding in bound arithmetic can never prune a strictly better
@@ -404,20 +406,48 @@ def _route(bits, choice, depth):
     return node[:, 0] - choice.shape[1]
 
 
-def _settle(obj, best, lb_stop):
-    """Where a scan over one block's objectives leaves its incumbent.
+def scan_structures(bits, depth, start, stop, best_in, lb, obj_elems,
+                    objective):
+    """Scan structures [start, stop) in odometer order, a block at a time.
 
-    Replays the odometer rule (the incumbent moves on strict improvement,
-    the scan stops at the first improvement reaching lb_stop).  Returns
-    (index of the new incumbent or -1, whether the scan stops there).
+    bits[m, ...]: 1 where a sample (under a scenario, for 3-d bits)
+    satisfies split pattern m.  Each block of consecutive structures is
+    decoded (node 0 slowest) and routed; ``objective(leaf, best)`` gets
+    the routed leaves and the incumbent before the block and returns the
+    block's objectives and a per-structure detail (a sequence, or None).
+    The odometer rule is replayed on each block: the incumbent moves only
+    on strict improvement (to the block's first minimum), and the scan
+    stops at the first improvement reaching the relaxation bound lb.  A
+    block holds at most ``_BLOCK_ELEMS`` elements of routing and of the
+    objective's ``obj_elems`` per structure.  Returns (best, improved, the
+    incumbent's choice per node or all -1, its detail or None).
     """
-    i = int(np.argmin(obj))
-    if not obj[i] < best:
-        return -1, False
-    if not obj[i] <= lb_stop:
-        return i, False
-    prefix = np.minimum.accumulate(np.concatenate(([best], obj[:-1])))
-    return int(np.argmax((obj <= lb_stop) & (obj < prefix))), True
+    n_nodes = 2 ** depth - 1
+    best_choice = np.full(n_nodes, -1, np.int64)
+    best_detail = None
+    best = best_in
+    improved = False
+    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
+    block = max(1, _BLOCK_ELEMS // max(n_nodes * bits[0].size, obj_elems))
+    for lo in range(start, stop, block):
+        choice = _decode(lo, min(lo + block, stop), bits.shape[0], n_nodes)
+        obj, detail = objective(_route(bits, choice, depth), best)
+        i = int(np.argmin(obj))
+        if not obj[i] < best:
+            continue
+        done = obj[i] <= lb_stop
+        if done:
+            # The first objective below best that reaches lb_stop is also
+            # below all before it: one of those at or under it would
+            # have been first.
+            i = int(np.argmax((obj <= lb_stop) & (obj < best)))
+        best = obj[i]
+        improved = True
+        best_choice = choice[i]
+        best_detail = None if detail is None else detail[i]
+        if done:
+            break
+    return best, improved, best_choice, best_detail
 
 
 def scan_structures_free(bits, values, depth, start, stop, best_in, lb):
@@ -426,41 +456,29 @@ def scan_structures_free(bits, values, depth, start, stop, best_in, lb):
     bits[m, j]: 1 when sample j satisfies split pattern m (branches left).
     values[j, p]: candidate p's value for sample j.  With one routing the
     leaves decouple, so each leaf takes the candidate minimizing its summed
-    value.  Structures are visited in odometer order (node 0 slowest), the
-    incumbent moves only on strict improvement, and the scan stops early
-    once it touches the relaxation bound lb.  Sums run in sample, then
-    leaf order from 0.0, as a loop over structures would add them.
+    value.  Sums run in sample, then leaf order from 0.0, as a loop over
+    structures would add them.  Visiting order, tie-break and early stop
+    are those of :func:`scan_structures`.  Returns (best, improved,
+    choice, leaf tuple).
     """
-    n_pat, n_samples = bits.shape
-    n_pool = values.shape[1]
-    n_nodes = 2 ** depth - 1
+    n_samples, n_pool = values.shape
     n_leaves = 2 ** depth
-    best_choice = np.full(n_nodes, -1, np.int64)
-    best_leaf = np.zeros(n_leaves, np.int64)
-    best = best_in
-    improved = False
-    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
-    block = max(1, _BLOCK_ELEMS // max(n_nodes * n_samples,
-                                       n_leaves * n_pool))
-    for lo in range(start, stop, block):
-        choice = _decode(lo, min(lo + block, stop), n_pat, n_nodes)
-        leaf = _route(bits, choice, depth)
-        rows = np.arange(choice.shape[0])
-        leafsum = np.zeros((choice.shape[0], n_leaves, n_pool))
+
+    def objective(leaf, best):
+        rows = np.arange(leaf.shape[0])
+        leafsum = np.zeros((leaf.shape[0], n_leaves, n_pool))
         for j in range(n_samples):
             leafsum[rows, leaf[:, j]] += values[j]
         leafmin = leafsum.min(axis=2)
-        obj = np.zeros(choice.shape[0])
+        obj = np.zeros(leaf.shape[0])
         for k in range(n_leaves):
             obj += leafmin[:, k]
-        i, done = _settle(obj, best, lb_stop)
-        if i >= 0:
-            best = obj[i]
-            improved = True
-            best_choice = choice[i]
-            best_leaf = leafsum[i].argmin(axis=1)
-            if done:
-                break
+        return obj, leafsum
+
+    best, improved, best_choice, leafsum = scan_structures(
+        bits, depth, start, stop, best_in, lb, n_leaves * n_pool, objective)
+    best_leaf = (np.zeros(n_leaves, np.int64) if leafsum is None
+                 else leafsum.argmin(axis=1))
     return best, improved, best_choice, best_leaf
 
 
@@ -470,31 +488,21 @@ def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
     bits[m, s, j]: 1 when sample j under scenario s satisfies pattern m.
     leaf_vals[j, k]: value of sample j if routed to leaf k.  Objective is
     the max over scenarios of the routed sums.  Visiting order, tie-break
-    and early stop are those of :func:`scan_structures_free`.
+    and early stop are those of :func:`scan_structures`.  Returns (best,
+    improved, choice).
     """
-    n_pat, n_scen, n_samples = bits.shape
-    n_nodes = 2 ** depth - 1
-    best_choice = np.full(n_nodes, -1, np.int64)
-    best = best_in
-    improved = False
-    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
+    n_samples = bits.shape[2]
     cols = np.arange(n_samples)
-    block = max(1, _BLOCK_ELEMS // (n_nodes * n_scen * n_samples))
-    for lo in range(start, stop, block):
-        choice = _decode(lo, min(lo + block, stop), n_pat, n_nodes)
-        routed = leaf_vals[cols, _route(bits, choice, depth)]
+
+    def objective(leaf, best):
+        routed = leaf_vals[cols, leaf]
         tot = np.zeros(routed.shape[:2])
         for j in range(n_samples):
             tot += routed[:, :, j]
-        obj = tot.max(axis=1)
-        i, done = _settle(obj, best, lb_stop)
-        if i >= 0:
-            best = obj[i]
-            improved = True
-            best_choice = choice[i]
-            if done:
-                break
-    return best, improved, best_choice
+        return tot.max(axis=1), None
+
+    return scan_structures(bits, depth, start, stop, best_in, lb, 0,
+                           objective)[:3]
 
 
 _mckp_lp_bound = _maybe_jit(_mckp_lp_bound)

@@ -472,34 +472,54 @@ def solve_rows_search(tree, thresholds, dataset, kind, gamma, eps):
 
 def solve_master_loop(dataset, scenarios, pool, depth):
     """``solve_master`` with free leaves over two or more scenarios: every
-    structure in odometer order (node 0 slowest), an uncut leaf search per
-    distinct routing, the first strict improvement kept and an early stop
-    at the relaxation bound.  Returns (tree, master objective)."""
+    structure in odometer order (node 0 slowest), routed by a tree of its
+    representative splits under each scenario's observations, an uncut
+    leaf search per distinct routing, the first strict improvement kept
+    and an early stop at the relaxation bound.
+
+    Returns (tree, master objective, searches).  ``searches`` lists, as
+    (routing ``tobytes()``, cutoff), the leaf searches a memo of exact
+    results and ``(cutoff, None)`` certificates runs when every
+    structure's cutoff is the running best before it: a routing is
+    searched on its first visit and again when its certificate lies
+    below the cutoff, and the search certifies when the optimum is not
+    strictly below its cutoff."""
     from robust_trees import DecisionTree, build_threshold_catalog, exact
 
-    splits, bits, reps = exact._split_patterns(
+    splits, _, reps = exact._split_patterns(
         dataset.costs, scenarios, build_threshold_catalog(dataset))
     pool = np.asarray(pool, dtype=np.int8)
     values = np.ascontiguousarray(dataset.costs @ pool.astype(np.float64).T)
     lb = float(values.min(axis=1).sum())
     lb_stop = lb + 1e-12 * (1.0 + abs(lb))
-    memo = {}
-    best, best_choice, best_tup = math.inf, None, None
+    unused = np.zeros((2 ** depth, dataset.n_items), np.int8)
+    uncut = {}
+    held = {}
+    searches = []
+    best, best_split, best_tup = math.inf, None, None
     for choice in itertools.product(range(len(reps)), repeat=2 ** depth - 1):
-        leafm = exact._route_matrix(bits, choice, depth)
+        split = [splits[int(reps[c])] for c in choice]
+        tree = DecisionTree(depth, [i for i, _ in split],
+                            [t for _, t in split], unused)
+        leafm = np.stack([tree.traverse_batch(dataset.costs + xi)
+                          for xi in scenarios.xi])
         key = leafm.tobytes()
-        if key not in memo:
-            memo[key] = exact._assign_leaves(values, leafm, 2 ** depth,
-                                             math.inf)
-        obj, tup = memo[key]
+        if key not in uncut:
+            uncut[key] = exact._assign_leaves(values, leafm, 2 ** depth,
+                                              math.inf)
+        obj, tup = uncut[key]
+        # held: the certificate's cutoff, -inf once the result is exact
+        if key not in held or held[key] < best:
+            searches.append((key, float(best)))
+            held[key] = best if obj >= best else -math.inf
         if obj < best:
-            best, best_choice, best_tup = obj, choice, tup
+            best, best_split, best_tup = obj, split, tup
             if best <= lb_stop:
                 break
-    split = [splits[int(reps[c])] for c in best_choice]
-    tree = DecisionTree(depth, [i for i, _ in split], [t for _, t in split],
+    tree = DecisionTree(depth, [i for i, _ in best_split],
+                        [t for _, t in best_split],
                         pool[np.asarray(best_tup, dtype=np.int64)])
-    return tree, exact._master_objective(tree, dataset, scenarios)
+    return tree, exact._master_objective(tree, dataset, scenarios), searches
 
 
 def shifts_add_at(costs, boxes, empty, assignment):

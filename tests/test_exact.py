@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from robust_trees import (
     solve_master,
     tree_to_json,
 )
-from robust_trees import adversary, exact
+from robust_trees import adversary, exact, kernels
 from robust_trees.adversary import AdversaryResult
 
 
@@ -243,13 +244,21 @@ def test_assign_memo_answers_as_a_fresh_search(data, n_pool, n_leaves,
             assert cutoff <= got[0] <= uncut[0]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(1, 2),
-       n_random=st.integers(1, 3))
-def test_multi_scenario_master_matches_loop(seed, depth, n_random):
+       n_random=st.integers(1, 3), zero_shifts=st.booleans(),
+       block=st.sampled_from([None, 256, 64, 1]),
+       time_check=st.sampled_from([None, 5, 1]))
+def test_multi_scenario_master_matches_loop(seed, depth, n_random,
+                                            zero_shifts, block, time_check):
     """With 2-4 scenarios, ``solve_master`` (each leaf search cut off at
     the scan's running best) returns bitwise the tree and objective of the
-    uncut per-structure loop."""
+    uncut per-structure loop, and runs the leaf searches, routings and
+    cutoffs, that the loop's running best calls for, so it stops where
+    the loop stops.  Blocks from the default down to one structure
+    and scan windows down to one structure put improvements, certificates
+    and window ends inside and across blocks; all-zero extra scenarios
+    let the scan reach the relaxation bound and stop inside a block."""
     rng = np.random.default_rng(seed)
     n_samples = int(rng.integers(2, 5))
     costs = rng.choice([0.0, 1.0, 2.5, 4.0, 7.5], size=(n_samples, 3))
@@ -258,13 +267,27 @@ def test_multi_scenario_master_matches_loop(seed, depth, n_random):
     scen = ScenarioSet.zero(n_samples, 3)
     for _ in range(n_random):
         scen = scen.append(rng.choice([-2.0, -1.0, 0.0, 0.5, 3.0],
-                                      size=(n_samples, 3)))
-    rep = solve_master(ds, scen, None, depth=depth, pool=pool)
-    tree, obj = oracles.solve_master_loop(ds, scen, pool, depth)
+                                      size=(n_samples, 3))
+                           * (not zero_shifts))
+    searched = []
+    assign = exact._assign_leaves
+
+    def recording(values, leafm, n_leaves, cutoff):
+        searched.append((leafm.tobytes(), float(cutoff)))
+        return assign(values, leafm, n_leaves, cutoff)
+
+    with mock.patch.object(exact, "_assign_leaves", recording), \
+            mock.patch.object(kernels, "_BLOCK_ELEMS",
+                              block or kernels._BLOCK_ELEMS), \
+            mock.patch.object(exact, "_TIME_CHECK",
+                              time_check or exact._TIME_CHECK):
+        rep = solve_master(ds, scen, None, depth=depth, pool=pool)
+    tree, obj, searches = oracles.solve_master_loop(ds, scen, pool, depth)
     assert rep.tree.items.tobytes() == tree.items.tobytes()
     assert rep.tree.thresholds.tobytes() == tree.thresholds.tobytes()
     assert rep.tree.leaves.tobytes() == tree.leaves.tobytes()
     assert np.float64(rep.objective).tobytes() == np.float64(obj).tobytes()
+    assert searched == searches
 
 
 class TestScenarioGeneration:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,10 +182,11 @@ def _scan_case(data, bits_shape, values_shape, depth, reference):
     [start, stop), best_in and lb.
 
     best_in and lb are drawn among the objectives of the window's best
-    structure and two random structures, and values off them, so the
-    early stop sometimes fires at the best structure, sometimes at an
-    earlier one (also where best_in already lies below lb) and sometimes
-    never.
+    structure, its first structure and two random structures, and values
+    off them, so the early stop sometimes fires at the best structure,
+    sometimes at an earlier one (also where best_in already lies below
+    lb) and sometimes never (lb far below any objective).  The window is
+    drawn at its widest about half the time.
     """
     bits = data.draw(hnp.arrays(np.uint8, bits_shape,
                                 elements=st.integers(0, 1)))
@@ -192,7 +194,9 @@ def _scan_case(data, bits_shape, values_shape, depth, reference):
                                   elements=_SCAN_VALUES))
     total = bits_shape[0] ** (2 ** depth - 1)
     start = data.draw(st.integers(0, total - 1))
-    stop = data.draw(st.integers(start + 1, min(total, start + 400)))
+    widest = min(total, start + 400)
+    stop = data.draw(st.one_of(st.just(widest),
+                               st.integers(start + 1, widest)))
 
     def window_value(lo, hi):
         return float(reference(bits, values, depth, lo, hi, np.inf,
@@ -204,28 +208,43 @@ def _scan_case(data, bits_shape, values_shape, depth, reference):
                                           min_size=2, max_size=2))]
     best_in = data.draw(st.sampled_from([np.inf, best, best - 0.5]
                                         + picked))
-    lb = data.draw(st.sampled_from([best, best - 1.0, best + 0.3] + picked))
+    first = window_value(start, start + 1)
+    lb = data.draw(st.sampled_from([-1e300, best, best - 1.0, best + 0.3,
+                                    first] + picked))
     return bits, values, depth, start, stop, best_in, lb
+
+
+# Block caps: the default, and small ones that put improvements and early
+# stops inside and across blocks, down to one structure a block.
+_SCAN_BLOCKS = st.sampled_from([None, 64, 1])
+
+
+def _blocked(block, scan, args):
+    with mock.patch.object(kernels, "_BLOCK_ELEMS",
+                           block or kernels._BLOCK_ELEMS):
+        return scan(*args)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n_pat=st.integers(1, 12), n_samples=st.integers(1, 10),
-       n_pool=st.integers(1, 6), depth=st.integers(1, 3))
-def test_free_scan_matches_loop(data, n_pat, n_samples, n_pool, depth):
+       n_pool=st.integers(1, 6), depth=st.integers(1, 3), block=_SCAN_BLOCKS)
+def test_free_scan_matches_loop(data, n_pat, n_samples, n_pool, depth, block):
     args = _scan_case(data, (n_pat, n_samples), (n_samples, n_pool), depth,
                       oracles.scan_structures_free)
-    _bitwise_equal(kernels.scan_structures_free(*args),
+    _bitwise_equal(_blocked(block, kernels.scan_structures_free, args),
                    oracles.scan_structures_free(*args))
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n_pat=st.integers(1, 12), n_scen=st.integers(1, 4),
-       n_samples=st.integers(1, 10), depth=st.integers(1, 3))
-def test_fixed_scan_matches_loop(data, n_pat, n_scen, n_samples, depth):
+       n_samples=st.integers(1, 10), depth=st.integers(1, 3),
+       block=_SCAN_BLOCKS)
+def test_fixed_scan_matches_loop(data, n_pat, n_scen, n_samples, depth,
+                                 block):
     args = _scan_case(data, (n_pat, n_scen, n_samples),
                       (n_samples, 2 ** depth), depth,
                       oracles.scan_structures_fixed)
-    _bitwise_equal(kernels.scan_structures_fixed(*args),
+    _bitwise_equal(_blocked(block, kernels.scan_structures_fixed, args),
                    oracles.scan_structures_fixed(*args))
 
 
