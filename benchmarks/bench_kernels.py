@@ -8,7 +8,10 @@ where numba is not installed):
 
     python3 benchmarks/bench_kernels.py --both
 
-``--case NAME`` (repeatable) runs only the named cases; the peak
+The three ``structure_scan`` cases also print how many depth-2 split
+structures their master has and how many of them are canonical, the
+ones the scan visits.  ``--case NAME`` (repeatable) runs only the named
+cases; the peak
 resident memory of the process is printed after the timings, so one
 case per process gives that case's peak:
 
@@ -46,7 +49,8 @@ from robust_trees import (
     solve_master,
 )
 from robust_trees.adversary import worst_cases
-from robust_trees.kernels import BACKEND
+from robust_trees.exact import _split_patterns
+from robust_trees.kernels import BACKEND, canonical_structures
 
 
 def _tree_for(dataset, depth, seed):
@@ -121,15 +125,14 @@ def bench_leaf_assignment_shared_grid4():
     _shared_fills(4)  # pool of 20 paths
 
 
-def bench_structure_scan():
+def _scan_free_inputs():
     inst = generate_instance(InstanceSpec(grid_side=4, n_train=5, n_test=1,
                                           seed=4))
     ds, space = inst.train, inst.space
-    scen = ScenarioSet.zero(ds.n_samples, ds.n_items)
-    solve_master(ds, scen, space, depth=2)
+    return ds, ScenarioSet.zero(ds.n_samples, ds.n_items), space, {}
 
 
-def bench_structure_scan_fixed():
+def _scan_fixed_inputs():
     inst = generate_instance(InstanceSpec(grid_side=4, n_train=5, n_test=1,
                                           seed=5))
     ds, space = inst.train, inst.space
@@ -140,10 +143,10 @@ def bench_structure_scan_fixed():
             rng.uniform(-0.5, 0.5, size=(ds.n_samples, ds.n_items)), 3))
     optima = per_sample_optima(ds, space)
     leaves = optima[rng.integers(len(optima), size=4)]
-    solve_master(ds, scen, space, depth=2, fixed_leaves=leaves)
+    return ds, scen, space, {"fixed_leaves": leaves}
 
 
-def bench_structure_scan_multi():
+def _scan_multi_inputs():
     inst = generate_instance(InstanceSpec(grid_side=3, n_train=4, n_test=1,
                                           seed=7))
     ds, space = inst.train, inst.space
@@ -152,7 +155,45 @@ def bench_structure_scan_multi():
     for _ in range(2):
         scen = scen.append(np.round(
             rng.uniform(-2.0, 2.0, size=(ds.n_samples, ds.n_items)), 3))
-    solve_master(ds, scen, space, depth=2)
+    return ds, scen, space, {}
+
+
+def bench_structure_scan():
+    ds, scen, space, kw = _scan_free_inputs()
+    solve_master(ds, scen, space, depth=2, **kw)
+
+
+def bench_structure_scan_fixed():
+    ds, scen, space, kw = _scan_fixed_inputs()
+    solve_master(ds, scen, space, depth=2, **kw)
+
+
+def bench_structure_scan_multi():
+    ds, scen, space, kw = _scan_multi_inputs()
+    solve_master(ds, scen, space, depth=2, **kw)
+
+
+def structure_counts():
+    """Depth-2 structures of each scan case: the full odometer and the
+    canonical ones the scan visits."""
+    counts = {}
+    for name, inputs in (("structure_scan", _scan_free_inputs),
+                         ("structure_scan_fixed", _scan_fixed_inputs),
+                         ("structure_scan_multi", _scan_multi_inputs)):
+        ds, scen, _, _ = inputs()
+        bits = _split_patterns(ds.costs, scen,
+                               build_threshold_catalog(ds))[1]
+        counts[name] = (bits.shape[0] ** 3, sum(
+            codes.shape[0]
+            for codes in canonical_structures(bits, 2, 2 ** 20)))
+    return counts
+
+
+def _count_note(counts, name):
+    if name not in counts:
+        return ""
+    full, canonical = counts[name]
+    return f"  ({full:,} structures, {canonical:,} canonical)"
 
 
 def bench_post_process_depth2():
@@ -246,13 +287,15 @@ def main():
     args = parser.parse_args()
 
     if args.both:
+        counts = structure_counts()
         width = max(len(n) for n, _ in BENCHMARKS)
         slow = _run_backend("numpy", args.repeat)
         if importlib.util.find_spec("numba") is None:
             print("numba backend: not available (numba is not installed)")
             print(f"{'benchmark':<{width}}  {'numpy':>10}")
             for name, _ in BENCHMARKS:
-                print(f"{name:<{width}}  {slow[name]:>9.3f}s")
+                print(f"{name:<{width}}  {slow[name]:>9.3f}s"
+                      + _count_note(counts, name))
             return
         fast = _run_backend("numba", args.repeat)
         print(f"{'benchmark':<{width}}  {'numba':>10}  {'numpy':>10}"
@@ -260,17 +303,19 @@ def main():
         for name, _ in BENCHMARKS:
             ratio = slow[name] / fast[name]
             print(f"{name:<{width}}  {fast[name]:>9.3f}s  {slow[name]:>9.3f}s"
-                  f"  {ratio:>7.1f}x")
+                  f"  {ratio:>7.1f}x" + _count_note(counts, name))
         return
 
     results = run_suite(args.repeat, args.case)
     if args.json:
         print(json.dumps(results))
         return
+    # read before the structure counts, which take memory of their own
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    counts = structure_counts()
     print(f"backend: {BACKEND}")
     for name, seconds in results.items():
-        print(f"  {name}: {seconds:.3f}s")
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"  {name}: {seconds:.3f}s" + _count_note(counts, name))
     print(f"peak resident memory: {peak:.2f} MB")
 
 

@@ -7,6 +7,12 @@ observations, objectives charge true costs).  Splits with identical
 routing behaviour over every (sample, scenario) pair are interchangeable,
 so the search enumerates distinct routing *patterns* and maps the winner
 back to the first (item, threshold) representative — an exact reduction.
+Below the root a node sees only the pairs its ancestors route to it, so
+the scan visits only *canonical* structures, whose every node takes the
+first pattern that agrees with it on those pairs
+(``kernels.canonical_structures``): each routing of the pairs has exactly
+one, the first structure that routes that way, so the first strict
+improvement, and the tree, stay those of the full odometer.
 Leaf assignment (``_assign_leaves``) decomposes per leaf whenever all
 scenarios route alike (then each leaf takes the pool solution minimizing
 its samples' summed costs); otherwise ``kernels.assign_minmax``, an exact
@@ -194,8 +200,13 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
 
     With ``fixed_leaves`` only the split structure is searched (the leaf
     solutions are given).  ``pool`` overrides the candidate solutions for
-    free leaves (default: the space's full enumeration).  On timeout the
-    incumbent is returned with ``optimal=False``.
+    free leaves (default: the space's full enumeration).  Only canonical
+    structures are scanned (module docstring); a converged result is
+    bitwise that of a scan over every structure.  The time limit is
+    checked between windows of at most ``_CHUNK`` canonical structures
+    (``_TIME_CHECK`` with a leaf search per structure), so on timeout,
+    returned with ``optimal=False``, the incumbent may differ from the
+    one a scan over every structure would have reached by then.
     """
     start = time.perf_counter()
     costs = dataset.costs
@@ -214,9 +225,7 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
     if catalog is None:
         catalog = build_threshold_catalog(dataset)
     splits, pattern_bits, reps = _split_patterns(costs, scenarios, catalog)
-    n_pat = pattern_bits.shape[0]
-    n_nodes = 2 ** depth - 1
-    total = n_pat ** n_nodes
+    total = pattern_bits.shape[0] ** (2 ** depth - 1)
     if total > _MAX_STRUCTURES:
         raise CapExceeded(f"{total} split structures is beyond any search")
 
@@ -229,10 +238,10 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
     lb = float(values.min(axis=1).sum())
     lb_stop = lb + 1e-12 * (1.0 + abs(lb))
 
-    # Each scan(lo, hi, best, lb) covers structures [lo, hi) and returns
-    # (best, improved, choice) and, with free leaves, the leaf tuple: the
-    # first strict improvement on ``best`` that reaches ``lb_stop``, else
-    # the first minimum of the window.
+    # Each scan(codes, best, lb) covers one window of canonical structures
+    # and returns (best, improved, choice) and, with free leaves, the leaf
+    # tuple: the first strict improvement on ``best`` that reaches
+    # ``lb_stop``, else the first minimum of the window.
     step = _CHUNK
     if fixed_leaves is not None:
         scan = partial(kernels.scan_structures_fixed, pattern_bits, values,
@@ -265,16 +274,16 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
 
     timed_out = False
     best_obj, best_found = np.inf, None
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        obj, improved, *found = scan(lo, hi, best_obj, lb)
+    windows = kernels.canonical_structures(pattern_bits, depth, step)
+    for k, codes in enumerate(windows):
+        if (k and time_limit is not None
+                and time.perf_counter() - start > time_limit):
+            timed_out = True
+            break
+        obj, improved, *found = scan(codes, best_obj, lb)
         if improved:
             best_obj, best_found = obj, found
         if best_obj <= lb_stop:
-            break
-        if (hi < total and time_limit is not None
-                and time.perf_counter() - start > time_limit):
-            timed_out = True
             break
     if fixed_leaves is None:
         leaves = leaves[np.asarray(best_found[1], dtype=np.int64)]

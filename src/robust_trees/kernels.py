@@ -13,11 +13,13 @@ import time the module decides which backend runs them:
 Both paths run the identical code and return identical results; only the
 speed differs.  ``benchmarks/bench_kernels.py`` measures the gap.
 
-The rest is NumPy code under either backend.  ``scan_structures``, the
-one split-structure scan, decodes, routes and settles blocks of
-consecutive structures; its caller supplies each block's objectives
-(``scan_structures_free``, ``scan_structures_fixed`` and the
-multi-scenario search of ``exact.solve_master``).  ``effort_matrix``
+The rest is NumPy code under either backend.  ``canonical_structures``
+lists the split structures worth scanning, one per routing of the
+samples, as odometer codes built level by level from per-node class
+tables.  ``scan_structures``, the one split-structure scan, decodes,
+routes and settles blocks of those codes; its caller supplies each
+block's objectives (``scan_structures_free``, ``scan_structures_fixed``
+and the multi-scenario search of ``exact.solve_master``).  ``effort_matrix``
 evaluates a batch of threshold rows of one tree structure, and
 ``assign_minmax`` blocks of leaf-tuple prefixes.  Each returns bitwise
 what the matching one-at-a-time loop returns (``tests/oracles.py`` keeps
@@ -387,10 +389,128 @@ def _assign_reach(values, reach, minval, last_reach):
 # Split-structure scans
 # ---------------------------------------------------------------------------
 
-def _decode(lo, hi, n_pat, n_nodes):
-    """Split choice per node of structures [lo, hi), node 0 slowest."""
+def _first_of_class(packed, masks):
+    """flags[r, m]: no pattern before m agrees with m on mask r.
+
+    packed[m] and masks[r] are bit rows packed into uint64 words.  Each
+    row's masked patterns are sorted stably, word by word from the last
+    (a radix sort), so every class lies together in index order and its
+    head is its first pattern.
+    """
+    keys = masks[:, None] & packed
+    rows = np.arange(keys.shape[0])[:, None]
+    order = np.argsort(keys[:, :, -1], axis=1, kind="stable")
+    for i in range(keys.shape[2] - 2, -1, -1):
+        order = order[rows, np.argsort(keys[rows, order, i], axis=1,
+                                       kind="stable")]
+    keys = keys[rows, order]
+    head = np.ones(order.shape, bool)
+    head[:, 1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=2)
+    flags = np.empty(order.shape, bool)
+    flags[rows, order] = head
+    return flags
+
+
+def _flagged_tuples(flags):
+    """Every tuple of flagged patterns, one per node, of each row.
+
+    flags[b, q, m] marks the patterns node q may take under row b.
+    Yields (row, offset) arrays in ascending order, offset being the
+    tuple's index in the (patterns,) * nodes grid (node 0 slowest), from
+    AND grids of at most ``_BLOCK_ELEMS`` cells: as many rows as fit in
+    one, or, where one row's grid does not fit, the grids of the other
+    nodes under each of its first node's patterns.
+    """
+    n_rows, n_level, n_pat = flags.shape
+    span = n_pat ** n_level
+    if span > _BLOCK_ELEMS and n_level > 1:
+        tail = span // n_pat
+        for b in range(n_rows):
+            head = np.flatnonzero(flags[b, 0])
+            rest = np.broadcast_to(flags[b, 1:],
+                                   (head.shape[0], n_level - 1, n_pat))
+            for row, off in _flagged_tuples(rest):
+                yield np.full(row.shape[0], b), head[row] * tail + off
+        return
+    rows = max(1, _BLOCK_ELEMS // span)
+    for lo in range(0, n_rows, rows):
+        grid = flags[lo:lo + rows, 0]
+        for q in range(1, n_level):
+            grid = (grid[:, :, None] & flags[lo:lo + rows, q, None]).reshape(
+                grid.shape[0], -1)
+        i = np.flatnonzero(grid)
+        b = i // span
+        yield lo + b, i - b * span
+
+
+def canonical_structures(bits, depth, size):
+    """Codes of the canonical split structures, ascending, ``size`` at most
+    at a time.
+
+    bits[m, ...]: 1 where a (scenario, sample) pair satisfies split
+    pattern m; the rows are distinct patterns, as ``exact._split_patterns``
+    makes them.  A structure's code is its odometer index (node 0
+    slowest).  A node sees only the pairs its ancestors route to it, so
+    two patterns that agree on those pairs route alike there; a structure
+    is canonical when every node's pattern is the first that agrees with
+    it on its pairs.  Each routing of the pairs then has exactly one
+    canonical structure, the first structure that routes that way, so a
+    scan that keeps the first strict improvement returns the same
+    structure over these codes as over all of them.  At depth 1 every
+    pattern is canonical.
+
+    Deeper levels are filled one at a time, a batch of prefixes (the
+    choices above the level) at once: one ``_first_of_class`` pass flags
+    each node's first patterns under every prefix of the batch, and
+    ``_flagged_tuples`` lists their products in order, a grid of at most
+    ``_BLOCK_ELEMS`` cells at a time.  Memory grows with that cap (times
+    the nodes of a level and the words of a mask), not with the number
+    of structures.
+    """
+    n_pat = bits.shape[0]
+    if depth == 1:
+        for lo in range(0, n_pat, size):
+            yield np.arange(lo, min(lo + size, n_pat), dtype=np.int64)
+        return
+    n_nodes = 2 ** depth - 1
     place = n_pat ** np.arange(n_nodes - 1, -1, -1, dtype=np.int64)
-    return np.arange(lo, hi, dtype=np.int64)[:, None] // place % n_pat
+    flat = np.packbits(bits.reshape(n_pat, -1), axis=1)
+    w = -(-flat.shape[1] // 8)
+    packed = np.zeros((n_pat, 8 * w), np.uint8)
+    packed[:, :flat.shape[1]] = flat
+    packed = packed.view(np.uint64)
+
+    def expand(level, base, masks):
+        # base[b]: code of prefix b; masks[b, q]: the pairs that reach
+        # node q of this level under it
+        n_level = 2 ** level
+        batch = max(1, _BLOCK_ELEMS // (n_level * n_pat * w))
+        for lo in range(0, base.shape[0], batch):
+            part = masks[lo:lo + batch]
+            flags = _first_of_class(packed, part.reshape(-1, w)).reshape(
+                part.shape[0], n_level, n_pat)
+            for b, off in _flagged_tuples(flags):
+                code = base[lo + b]
+                if level == depth - 1:
+                    code = code + off
+                    for i in range(0, code.shape[0], size):
+                        yield code[i:i + size]
+                    continue
+                choice = off[:, None] // place[-n_level:] % n_pat
+                code = code + choice @ place[n_level - 1:2 * n_level - 1]
+                pat = packed[choice]
+                yield from expand(level + 1, code, np.stack(
+                    [part[b] & pat, part[b] & ~pat], axis=2).reshape(
+                        b.shape[0], 2 * n_level, w))
+
+    yield from expand(1, np.arange(n_pat, dtype=np.int64) * place[0],
+                      np.stack([packed, ~packed], axis=1))
+
+
+def _decode(codes, n_pat, n_nodes):
+    """Split choice per node of the structures ``codes``, node 0 slowest."""
+    place = n_pat ** np.arange(n_nodes - 1, -1, -1, dtype=np.int64)
+    return codes[:, None] // place % n_pat
 
 
 def _route(bits, choice, depth):
@@ -406,13 +526,14 @@ def _route(bits, choice, depth):
     return node[:, 0] - choice.shape[1]
 
 
-def scan_structures(bits, depth, start, stop, best_in, lb, obj_elems,
-                    objective):
-    """Scan structures [start, stop) in odometer order, a block at a time.
+def scan_structures(bits, depth, codes, best_in, lb, obj_elems, objective):
+    """Scan the structures ``codes`` in their order, a block at a time.
 
     bits[m, ...]: 1 where a sample (under a scenario, for 3-d bits)
-    satisfies split pattern m.  Each block of consecutive structures is
-    decoded (node 0 slowest) and routed; ``objective(leaf, best)`` gets
+    satisfies split pattern m.  ``codes`` are odometer indices, ascending
+    (all of a range, or the canonical ones of
+    :func:`canonical_structures`).  Each block of them is decoded (node 0
+    slowest) and routed; ``objective(leaf, best)`` gets
     the routed leaves and the incumbent before the block and returns the
     block's objectives and a per-structure detail (a sequence, or None).
     The odometer rule is replayed on each block: the incumbent moves only
@@ -429,8 +550,8 @@ def scan_structures(bits, depth, start, stop, best_in, lb, obj_elems,
     improved = False
     lb_stop = lb + 1e-12 * (1.0 + abs(lb))
     block = max(1, _BLOCK_ELEMS // max(n_nodes * bits[0].size, obj_elems))
-    for lo in range(start, stop, block):
-        choice = _decode(lo, min(lo + block, stop), bits.shape[0], n_nodes)
+    for lo in range(0, codes.shape[0], block):
+        choice = _decode(codes[lo:lo + block], bits.shape[0], n_nodes)
         obj, detail = objective(_route(bits, choice, depth), best)
         i = int(np.argmin(obj))
         if not obj[i] < best:
@@ -450,8 +571,8 @@ def scan_structures(bits, depth, start, stop, best_in, lb, obj_elems,
     return best, improved, best_choice, best_detail
 
 
-def scan_structures_free(bits, values, depth, start, stop, best_in, lb):
-    """Scan structures [start, stop) with free leaves, single routing.
+def scan_structures_free(bits, values, depth, codes, best_in, lb):
+    """Scan the structures ``codes`` with free leaves, single routing.
 
     bits[m, j]: 1 when sample j satisfies split pattern m (branches left).
     values[j, p]: candidate p's value for sample j.  With one routing the
@@ -476,14 +597,14 @@ def scan_structures_free(bits, values, depth, start, stop, best_in, lb):
         return obj, leafsum
 
     best, improved, best_choice, leafsum = scan_structures(
-        bits, depth, start, stop, best_in, lb, n_leaves * n_pool, objective)
+        bits, depth, codes, best_in, lb, n_leaves * n_pool, objective)
     best_leaf = (np.zeros(n_leaves, np.int64) if leafsum is None
                  else leafsum.argmin(axis=1))
     return best, improved, best_choice, best_leaf
 
 
-def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
-    """Scan structures [start, stop) with fixed leaf values, any scenarios.
+def scan_structures_fixed(bits, leaf_vals, depth, codes, best_in, lb):
+    """Scan the structures ``codes`` with fixed leaf values, any scenarios.
 
     bits[m, s, j]: 1 when sample j under scenario s satisfies pattern m.
     leaf_vals[j, k]: value of sample j if routed to leaf k.  Objective is
@@ -501,8 +622,7 @@ def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
             tot += routed[:, :, j]
         return tot.max(axis=1), None
 
-    return scan_structures(bits, depth, start, stop, best_in, lb, 0,
-                           objective)[:3]
+    return scan_structures(bits, depth, codes, best_in, lb, 0, objective)[:3]
 
 
 _mckp_lp_bound = _maybe_jit(_mckp_lp_bound)

@@ -14,6 +14,9 @@ time branch and bound behind the blocked ``kernels.assign_minmax``; the
 kernels must return bitwise the same results.  ``post_process_loop`` is
 threshold refinement evaluated one tree at a time, the reference for the
 batched ``post_process``.
+``canonical_structures`` keeps the first structure of each routing
+class, the reference for ``kernels.canonical_structures``, and
+``solve_master_full`` is ``solve_master`` over the whole odometer.
 ``solve_rows_search`` is the batched adversary with the shared-budget
 knapsack search run on every row, the reference for the rows on which
 ``adversary._solve`` skips it.  ``solve_master_loop`` is the
@@ -508,10 +511,11 @@ def solve_master_loop(dataset, scenarios, pool, depth):
             uncut[key] = exact._assign_leaves(values, leafm, 2 ** depth,
                                               math.inf)
         obj, tup = uncut[key]
-        # held: the certificate's cutoff, -inf once the result is exact
+        # held: the certificate's cutoff; an exact result answers every
+        # later cutoff
         if key not in held or held[key] < best:
             searches.append((key, float(best)))
-            held[key] = best if obj >= best else -math.inf
+            held[key] = best if obj >= best else math.inf
         if obj < best:
             best, best_split, best_tup = obj, split, tup
             if best <= lb_stop:
@@ -520,6 +524,61 @@ def solve_master_loop(dataset, scenarios, pool, depth):
                         [t for _, t in best_split],
                         pool[np.asarray(best_tup, dtype=np.int64)])
     return tree, exact._master_objective(tree, dataset, scenarios), searches
+
+
+def canonical_structures(bits, depth):
+    """Odometer indices of the first structure of each routing class.
+
+    Two structures are in one class exactly when they send every
+    (scenario, sample) pair of ``bits[m, ...]`` to the same leaf; every
+    structure is walked in odometer order (node 0 slowest) and kept when
+    its routing is new.
+    """
+    flat = bits.reshape(bits.shape[0], -1)
+    seen = set()
+    firsts = []
+    for code, choice in enumerate(itertools.product(
+            range(bits.shape[0]), repeat=2 ** depth - 1)):
+        routing = []
+        for pair in range(flat.shape[1]):
+            node = 0
+            for _ in range(depth):
+                node = 2 * node + (1 if flat[choice[node], pair] else 2)
+            routing.append(node)
+        if tuple(routing) not in seen:
+            seen.add(tuple(routing))
+            firsts.append(code)
+    return firsts
+
+
+def solve_master_full(dataset, scenarios, pool, depth, fixed_leaves=None):
+    """``solve_master`` over every structure of the odometer: the loops
+    ``scan_structures_fixed`` (with ``fixed_leaves``) and
+    ``scan_structures_free`` (one scenario) over the whole range, or
+    ``solve_master_loop``.  Returns (tree, master objective)."""
+    from robust_trees import DecisionTree, build_threshold_catalog, exact
+
+    if fixed_leaves is None and scenarios.n_scenarios > 1:
+        return solve_master_loop(dataset, scenarios, pool, depth)[:2]
+    splits, bits, reps = exact._split_patterns(
+        dataset.costs, scenarios, build_threshold_catalog(dataset))
+    leaves = np.asarray(pool if fixed_leaves is None else fixed_leaves,
+                        dtype=np.int8)
+    values = np.ascontiguousarray(
+        dataset.costs @ leaves.astype(np.float64).T)
+    lb = float(values.min(axis=1).sum())
+    total = bits.shape[0] ** (2 ** depth - 1)
+    if fixed_leaves is None:
+        *_, choice, tup = scan_structures_free(bits[:, 0], values, depth, 0,
+                                               total, math.inf, lb)
+        leaves = leaves[tup]
+    else:
+        *_, choice = scan_structures_fixed(bits, values, depth, 0, total,
+                                           math.inf, lb)
+    split = [splits[int(reps[c])] for c in choice]
+    tree = DecisionTree(depth, [i for i, _ in split], [t for _, t in split],
+                        leaves)
+    return tree, exact._master_objective(tree, dataset, scenarios)
 
 
 def shifts_add_at(costs, boxes, empty, assignment):

@@ -220,9 +220,12 @@ _SCAN_BLOCKS = st.sampled_from([None, 64, 1])
 
 
 def _blocked(block, scan, args):
+    """The kernel scan over the oracle's window [start, stop), as the
+    contiguous codes of that range."""
+    bits, values, depth, start, stop, best_in, lb = args
     with mock.patch.object(kernels, "_BLOCK_ELEMS",
                            block or kernels._BLOCK_ELEMS):
-        return scan(*args)
+        return scan(bits, values, depth, np.arange(start, stop), best_in, lb)
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,3 +276,119 @@ def test_effort_matrix_matches_loop(data, n_rows, n_samples, n_items,
     ref = oracles.effort_matrix_loop(costs, item, lo, hi, nominal)
     assert got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
+
+
+def _distinct_patterns(data, n_pat, pairs_shape):
+    """Bits of up to ``n_pat`` distinct patterns (first occurrences kept in
+    order), as ``exact._split_patterns`` hands them to the scans."""
+    bits = data.draw(hnp.arrays(np.uint8, (n_pat,) + pairs_shape,
+                                elements=st.integers(0, 1)))
+    _, first = np.unique(bits.reshape(n_pat, -1), axis=0, return_index=True)
+    return np.ascontiguousarray(bits[np.sort(first)])
+
+
+# The most patterns, per depth, whose full odometer the loops walk fast.
+_MAX_PATTERNS = {1: 12, 2: 7, 3: 3}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), depth=st.integers(1, 3), n_scen=st.integers(1, 3),
+       n_samples=st.integers(1, 4), size=st.sampled_from([1, 3, 10 ** 6]),
+       block=_SCAN_BLOCKS)
+def test_canonical_structures_match_brute_force(data, depth, n_scen,
+                                                n_samples, size, block):
+    """The codes are, in order, the first structure of each routing class
+    (two structures in one class exactly when they route every pair
+    alike), at most ``size`` a time, also when blocks are too small for
+    one prefix's tuple grid."""
+    n_pat = data.draw(st.integers(1, _MAX_PATTERNS[depth]))
+    bits = _distinct_patterns(data, n_pat, (n_scen, n_samples))
+    with mock.patch.object(kernels, "_BLOCK_ELEMS",
+                           block or kernels._BLOCK_ELEMS):
+        windows = list(kernels.canonical_structures(bits, depth, size))
+    assert all(0 < w.shape[0] <= size and w.dtype == np.int64
+               for w in windows)
+    assert (np.concatenate(windows).tolist()
+            == oracles.canonical_structures(bits, depth))
+
+
+def _canonical_scan(scan, bits, values, depth, best_in, lb, size):
+    """The kernel scan over every canonical window in turn, carrying the
+    incumbent as ``exact.solve_master`` does."""
+    lb_stop = lb + 1e-12 * (1.0 + abs(lb))
+    out = None
+    best = best_in
+    for codes in kernels.canonical_structures(bits, depth, size):
+        got = scan(bits, values, depth, codes, best, lb)
+        if got[1]:
+            out, best = got, got[0]
+        if best <= lb_stop:
+            break
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), depth=st.integers(1, 3), n_scen=st.integers(1, 3),
+       n_samples=st.integers(1, 5), n_pool=st.integers(1, 4),
+       free=st.booleans(), size=st.sampled_from([1, 5, 10 ** 6]),
+       block=_SCAN_BLOCKS)
+def test_canonical_scans_match_full_loop(data, depth, n_scen, n_samples,
+                                         n_pool, free, size, block):
+    """Free-leaf (one scenario) and fixed-leaf scans over the canonical
+    windows return bitwise what the loops return over the whole odometer:
+    the same first strict minimum, or the same first improvement that
+    reaches lb, from any incoming best.  lb is drawn reachable (the
+    optimum, above it) and out of reach (below it, -1e300)."""
+    n_pat = data.draw(st.integers(1, _MAX_PATTERNS[depth]))
+    if free:
+        n_scen = 1
+    bits = _distinct_patterns(data, n_pat, (n_scen, n_samples))
+    if free:
+        bits = bits[:, 0]
+        values_shape = (n_samples, n_pool)
+        kernel, loop = kernels.scan_structures_free, oracles.scan_structures_free
+    else:
+        values_shape = (n_samples, 2 ** depth)
+        kernel = kernels.scan_structures_fixed
+        loop = oracles.scan_structures_fixed
+    values = data.draw(hnp.arrays(np.float64, values_shape,
+                                  elements=_SCAN_VALUES))
+    total = bits.shape[0] ** (2 ** depth - 1)
+    opt = float(loop(bits, values, depth, 0, total, np.inf, -1e300)[0])
+    lb = data.draw(st.sampled_from([-1e300, opt - 1.0, opt, opt + 0.3]))
+    best_in = data.draw(st.sampled_from([np.inf, opt + 0.5, opt]))
+    ref = loop(bits, values, depth, 0, total, best_in, lb)
+    with mock.patch.object(kernels, "_BLOCK_ELEMS",
+                           block or kernels._BLOCK_ELEMS):
+        got = _canonical_scan(kernel, bits, values, depth, best_in, lb, size)
+    if not ref[1]:
+        assert got is None
+        return
+    _bitwise_equal(got, ref)
+
+
+@pytest.mark.parametrize("depth,windows", [(2, None), (3, 300)])
+def test_canonical_structures_memory_stays_within_blocks(depth, windows):
+    """64 patterns over 2 scenarios of 8 samples: the whole depth-2
+    enumeration (up to 262,144 structures) and the first windows of the
+    depth-3 one keep their temporaries in blocks, well under 1 MB at the
+    peak, and the codes ascend."""
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2, size=(64, 2, 8)).astype(np.uint8)
+    _, first = np.unique(bits.reshape(64, -1), axis=0, return_index=True)
+    bits = np.ascontiguousarray(bits[np.sort(first)])
+    assert bits.shape[0] >= 60
+    count, last = 0, -1
+    tracemalloc.start()
+    try:
+        gen = kernels.canonical_structures(bits, depth, 2048)
+        for k, codes in enumerate(gen):
+            if k == windows:
+                break
+            assert codes[0] > last and (np.diff(codes) > 0).all()
+            count, last = count + codes.shape[0], codes[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert count >= (windows or 10 ** 4)
