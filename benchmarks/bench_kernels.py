@@ -31,6 +31,7 @@ import time
 import numpy as np
 
 from robust_trees import (
+    EPSILON,
     Dataset,
     DecisionTree,
     InstanceSpec,
@@ -39,7 +40,6 @@ from robust_trees import (
     build_threshold_catalog,
     compute_budget,
     generate_instance,
-    optimize_leaves_global,
     optimize_leaves_local,
     per_sample_optima,
     perturbation_cost,
@@ -50,6 +50,7 @@ from robust_trees import (
 )
 from robust_trees.adversary import worst_cases
 from robust_trees.exact import _split_patterns
+from robust_trees.heuristics import _optimize_leaves
 from robust_trees.kernels import BACKEND, canonical_structures
 
 
@@ -98,31 +99,38 @@ def bench_leaf_assignment():
         optimize_leaves_local(tree, ds, float(gamma), pool)
 
 
-def _shared_fills(grid):
-    # the shared-budget leaf fill of h_tree and h_alt at lambda 0.05 (cut
-    # generation over leaf tuples, kernels.assign_minmax its master): 20
-    # random depth-2 structures on each of three 5-sample instances
+def _fills(grid, kind, lam):
+    # the leaf fill of h_tree and h_alt: 20 random depth-2 structures on
+    # each of three 5-sample instances
     for seed in range(3):
         inst = generate_instance(InstanceSpec(grid_side=grid, n_train=5,
                                               n_test=1, seed=seed))
         ds, space = inst.train, inst.space
         pool = space.enumerate()
         catalog = build_threshold_catalog(ds)
-        gamma = compute_budget(ds, 0.05, 2, "global").gamma
+        budget = compute_budget(ds, lam, 2, kind)
         rng = np.random.default_rng(seed)
         empty = np.zeros((4, ds.n_items), dtype=np.int8)
         for _ in range(20):
             items, thetas = sample_random_structure(catalog, 2, rng)
-            optimize_leaves_global(DecisionTree(2, items, thetas, empty), ds,
-                                   gamma, pool)
+            _optimize_leaves(DecisionTree(2, items, thetas, empty), ds,
+                             budget, pool, EPSILON, None)
+
+
+def bench_leaf_assignment_local_grid3():
+    # per-sample budget at lambda 0.02: kernels.assign_reach over a 6**4
+    # leaf-tuple grid of 5 samples, which fits in one block
+    _fills(3, "local", 0.02)
 
 
 def bench_leaf_assignment_shared():
-    _shared_fills(3)
+    # shared budget at lambda 0.05: cut generation over leaf tuples,
+    # kernels.assign_minmax its master
+    _fills(3, "global", 0.05)
 
 
 def bench_leaf_assignment_shared_grid4():
-    _shared_fills(4)  # pool of 20 paths
+    _fills(4, "global", 0.05)  # pool of 20 paths
 
 
 def _scan_free_inputs():
@@ -237,6 +245,7 @@ BENCHMARKS = [
     ("perturbation_cost", bench_perturbation_cost),
     ("solve_global", bench_solve_global),
     ("leaf_assignment", bench_leaf_assignment),
+    ("leaf_assignment_local_grid3", bench_leaf_assignment_local_grid3),
     ("leaf_assignment_shared", bench_leaf_assignment_shared),
     ("leaf_assignment_shared_grid4", bench_leaf_assignment_shared_grid4),
     ("structure_scan", bench_structure_scan),

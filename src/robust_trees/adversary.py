@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InfeasibleTarget
-from .model import EPSILON, assignment_objective, leaf_values
+from .model import EPSILON, assignment_objective, check_gamma, leaf_values
 
 _FIT_MARGIN = 1e-9  # relative to 1 + gamma; absorbs rounding in effort sums
 
@@ -362,8 +362,7 @@ def _solve(tree, thresholds, dataset, kind, gamma, eps):
     searched only on the rows whose top upgrades do not all fit.
     Objectives are recomputed canonically from the chosen assignment.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    check_gamma(gamma)
     boxes, nominal, rho = _efforts(tree, thresholds, dataset, eps)
     values = leaf_values(dataset, tree)
     cols = np.arange(dataset.n_samples)

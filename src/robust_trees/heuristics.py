@@ -36,7 +36,7 @@ from .exact import (SolveReport, _assign_leaves, _cut_generation,
                     scenario_generation)
 from .model import (EPSILON, OBJECTIVE_TOL, DecisionTree, UncertaintyBudget,
                     assignment_objective, build_threshold_catalog,
-                    leaf_values)
+                    check_gamma, leaf_values)
 
 _INNER_PASS_CAP = 1000
 
@@ -110,6 +110,7 @@ def sample_random_structure(catalog, depth, rng):
 def optimize_leaves_local(tree, dataset, gamma, pool, eps=EPSILON):
     """Exact best leaf assignment from ``pool`` for a fixed structure
     under a per-sample budget.  Returns the tree and its worst case."""
+    check_gamma(gamma)
     pool = np.asarray(pool, dtype=np.int8)
     eff = adversary.perturbation_cost(tree, dataset, eps)
     reach = np.ascontiguousarray(eff.rho <= gamma)

@@ -2,8 +2,11 @@
 
 Three kernels are loops over numpy arrays written once and compiled with
 numba when it is available: ``grid_min_path`` (a dynamic program),
-``mckp_search`` and ``assign_reach`` (branch-and-bound searches).  At
-import time the module decides which backend runs them:
+``mckp_search`` and ``_assign_reach`` (branch-and-bound searches).
+``assign_reach`` evaluates a leaf-tuple grid that fits in one block in
+one NumPy broadcast under either backend and runs the branch and bound
+on larger grids.  At import time the module decides which backend runs
+the compiled loops:
 
 * ``ROBUST_TREES_BACKEND=numba`` forces compilation (ImportError if numba
   is missing),
@@ -23,7 +26,8 @@ and the multi-scenario search of ``exact.solve_master``).  ``effort_matrix``
 evaluates a batch of threshold rows of one tree structure, and
 ``assign_minmax`` blocks of leaf-tuple prefixes.  Each returns bitwise
 what the matching one-at-a-time loop returns (``tests/oracles.py`` keeps
-those loops as their reference).
+those loops as their reference), as the one-block ``assign_reach``
+returns bitwise what ``_assign_reach`` returns.
 
 Branch-and-bound kernels use small safety margins (1e-9 absolute) so that
 float rounding in bound arithmetic can never prune a strictly better
@@ -338,7 +342,16 @@ def _assign_reach(values, reach, minval, last_reach):
     values[j, p]: candidate p's value for sample j; reach[j, k] marks leaves
     sample j can be pushed into; minval[j] = min_p values[j, p];
     last_reach[j] = highest reachable leaf index (every sample reaches at
-    least its nominal leaf).
+    least its nominal leaf).  Returns (value, tuple) of the first minimal
+    tuple in lexicographic order (leaf 0 slowest), each sample's maximum
+    summed in sample order from 0.0.
+
+    A depth-first branch and bound, one node at a time, compiled by numba
+    where it is importable; :func:`assign_reach` runs it on grids larger
+    than one block.  A node is pruned once its completion bound (each
+    sample's running maximum, raised to ``minval`` where a later leaf
+    can still reach it) reaches the best plus ``_PRUNE_MARGIN``, and the
+    best moves only on strict improvement.
     """
     n_samples, n_pool = values.shape
     n_leaves = reach.shape[1]
@@ -629,4 +642,30 @@ _mckp_lp_bound = _maybe_jit(_mckp_lp_bound)
 
 grid_min_path = _maybe_jit(_grid_min_path)
 mckp_search = _maybe_jit(_mckp_search)
-assign_reach = _maybe_jit(_assign_reach)
+_reach_search = _maybe_jit(_assign_reach)
+
+
+def assign_reach(values, reach, minval, last_reach):
+    """The leaf tuple and value of :func:`_assign_reach`, bitwise.
+
+    A grid of tuples that fits in one block (``_BLOCK_ELEMS``) is
+    evaluated in one NumPy broadcast under either backend: each sample's
+    running maximum over the leaves it reaches is extended leaf by leaf,
+    the maxima are summed in sample order from 0.0, and the first argmin
+    is decoded with leaf 0 slowest.  Larger grids run the branch and
+    bound.
+    """
+    n_samples, n_pool = values.shape
+    n_leaves = reach.shape[1]
+    if n_pool ** n_leaves * n_samples > _BLOCK_ELEMS:
+        return _reach_search(values, reach, minval, last_reach)
+    cur = np.full((n_samples, 1), -np.inf)
+    for k in range(n_leaves):
+        hit = np.where(reach[:, k, None], values, -np.inf)
+        cur = np.maximum(cur[:, :, None], hit[:, None]).reshape(n_samples, -1)
+    val = np.zeros(cur.shape[1])
+    for j in range(n_samples):
+        val += cur[j]
+    i = int(np.argmin(val))
+    return val[i], np.array(np.unravel_index(i, (n_pool,) * n_leaves),
+                            dtype=np.int64)

@@ -233,6 +233,12 @@ def tree_from_json(text):
 # Budgets
 # ---------------------------------------------------------------------------
 
+def check_gamma(gamma):
+    """Raise ValueError unless the budget ``gamma`` is finite and >= 0."""
+    if not np.isfinite(gamma) or gamma < 0:
+        raise ValueError("gamma must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class UncertaintyBudget:
     """An L1 budget on observation shifts, shared or per sample.
@@ -250,8 +256,7 @@ class UncertaintyBudget:
     def __post_init__(self):
         if self.kind not in ("local", "global"):
             raise ValueError("kind must be 'local' or 'global'")
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError("gamma must be finite and >= 0")
+        check_gamma(self.gamma)
         object.__setattr__(self, "gamma", float(self.gamma))
 
     @classmethod

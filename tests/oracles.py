@@ -10,8 +10,10 @@ is exhaustive enumeration.  Only trivial accessors of the package
 one-structure-at-a-time loops that ``robust_trees.kernels`` evaluates in
 NumPy blocks, ``effort_matrix_loop`` the per-row loop behind
 ``kernels.effort_matrix``, and ``assign_minmax_loop`` the one-node-at-a-
-time branch and bound behind the blocked ``kernels.assign_minmax``; the
-kernels must return bitwise the same results.  ``post_process_loop`` is
+time branch and bound behind the blocked ``kernels.assign_minmax``, and
+``assign_reach_brute`` the enumeration of leaf tuples behind
+``kernels.assign_reach``; the kernels must return bitwise the same
+results.  ``post_process_loop`` is
 threshold refinement evaluated one tree at a time, the reference for the
 batched ``post_process``.
 ``canonical_structures`` keeps the first structure of each routing
@@ -290,6 +292,23 @@ def assign_minmax_loop(agg, minagg, cutoff):
             part[t + 1, s] = part[t, s] + agg[s, t, p]
         t += 1
         ci[t] = 0
+    return best, best_t
+
+
+def assign_reach_brute(values, reach):
+    """Every leaf tuple in lexicographic order (leaf 0 slowest): each
+    sample takes its largest value over the leaves it reaches, summed in
+    sample order from 0.0.  Returns the first minimal (value, tuple), the
+    reference for ``kernels.assign_reach``."""
+    n_samples, n_pool = values.shape
+    best, best_t = math.inf, np.zeros(reach.shape[1], np.int64)
+    for pick in itertools.product(range(n_pool), repeat=reach.shape[1]):
+        v = 0.0
+        for j in range(n_samples):
+            v += max((values[j, p] for k, p in enumerate(pick)
+                      if reach[j, k]), default=-math.inf)
+        if v < best:
+            best, best_t = v, np.array(pick, np.int64)
     return best, best_t
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from robust_trees import (
     generate_instance,
     leaf_values,
     nominal_objective,
+    optimize_leaves_local,
     per_sample_optima,
     perturbation_cost,
     reconstruct_perturbation,
@@ -263,6 +266,30 @@ class TestSolveGlobal:
         ds, tree = random_case(rng, n_samples=13, n_items=4, depth=2)
         with pytest.raises(CapExceeded):
             oracles.brute_force_global(tree, ds, 1e6)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, np.inf, np.nan])
+@pytest.mark.parametrize("call", ["solve_local", "solve_global",
+                                  "worst_cases", "optimize_leaves_local"])
+def test_rejects_gamma_not_finite_and_nonnegative(call, gamma):
+    """A negative, infinite or NaN budget raises.  A NaN budget reaches no
+    leaf: unchecked, it put every sample on leaf 0 (the argmax of an
+    all -inf row), gave the zero-budget value under a shared budget, and
+    ran the leaf search on an all-False reach matrix."""
+    ds, tree = random_case(np.random.default_rng(1))
+    # UncertaintyBudget rejects these values itself; a plain namespace
+    # reaches the adversary's own check
+    budget = SimpleNamespace(kind="global", gamma=gamma)
+    calls = {
+        "solve_local": lambda: solve_local(tree, ds, gamma),
+        "solve_global": lambda: solve_global(tree, ds, gamma),
+        "worst_cases": lambda: worst_cases(tree, tree.thresholds[None], ds,
+                                           budget),
+        "optimize_leaves_local": lambda: optimize_leaves_local(
+            tree, ds, gamma, tree.leaves),
+    }
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        calls[call]()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

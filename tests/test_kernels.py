@@ -124,6 +124,60 @@ def test_assign_minmax_memory_stays_within_blocks():
     _assert_same_search(got, ref)
 
 
+def _reach_case(rng, n_samples, n_leaves, n_pool, tied):
+    """Values, reach and the bound inputs of one ``assign_reach`` call:
+    each sample reaches its own leaf and, at random, some others."""
+    shape = (n_samples, n_pool)
+    values = (rng.integers(0, 4, size=shape).astype(np.float64) if tied
+              else rng.uniform(0, 20, size=shape))
+    reach = rng.uniform(size=(n_samples, n_leaves)) < 0.3
+    reach[np.arange(n_samples), rng.integers(0, n_leaves, size=n_samples)] = (
+        True)
+    last = n_leaves - 1 - np.argmax(reach[:, ::-1], axis=1)
+    return values, reach, values.min(axis=1), last.astype(np.int64)
+
+
+@pytest.mark.parametrize("n_leaves", [1, 2, 4, 8])
+def test_assign_reach_matches_search(monkeypatch, n_leaves):
+    """The one-block broadcast and the branch and bound each return
+    bitwise the value and tuple of ``_assign_reach``, and the value and
+    tuple of the brute-force enumeration: random and integer-tied values,
+    one to twelve samples (more than eight shows a pairwise sum), every
+    draw once with a block that holds its whole grid and once with one
+    that holds none."""
+    rng = np.random.default_rng(31 + n_leaves)
+    pools = (1, 2, 3) if n_leaves == 8 else (1, 3, 6)
+    for n_samples in range(1, 13):
+        for n_pool in pools:
+            for tied in (False, True):
+                args = _reach_case(rng, n_samples, n_leaves, n_pool, tied)
+                ref = kernels._assign_reach(*args)
+                _assert_same_search(ref, oracles.assign_reach_brute(
+                    *args[:2]))
+                for block in (n_pool ** n_leaves * n_samples, 0):
+                    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block)
+                    _assert_same_search(kernels.assign_reach(*args), ref)
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n_pool", [6, 20])
+def test_assign_reach_memory_stays_within_blocks(n_pool):
+    """5 samples and 4 leaves with a 6-path pool (grid 3: 6,480 elements,
+    one block, the broadcast) and a 20-path pool (grid 4: 800,000, the
+    branch and bound) keep their temporaries within a few blocks of
+    float64 and return the search's result."""
+    args = _reach_case(np.random.default_rng(23), 5, 4, n_pool, True)
+    ref = kernels._assign_reach(*args)
+    tracemalloc.start()
+    try:
+        got = kernels.assign_reach(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * kernels._BLOCK_ELEMS
+    _assert_same_search(got, ref)
+
+
 _BACKEND_SCRIPT = r"""
 import json
 import numpy as np
