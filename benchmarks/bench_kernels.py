@@ -1,31 +1,20 @@
 #!/usr/bin/env python3
-"""Time the hot kernels under the active backend.
+"""Time the hot kernels:
 
-Run directly for one backend (selected by ROBUST_TREES_BACKEND), or with
-``--both`` to re-execute itself under numba and the pure NumPy fallback
-and print a side-by-side table (the NumPy column alone, with a note,
-where numba is not installed):
-
-    python3 benchmarks/bench_kernels.py --both
+    python3 benchmarks/bench_kernels.py
 
 The three ``structure_scan`` cases also print how many depth-2 split
 structures their master has and how many of them are canonical, the
 ones the scan visits.  ``--case NAME`` (repeatable) runs only the named
-cases; the peak
-resident memory of the process is printed after the timings, so one
-case per process gives that case's peak:
+cases; the peak resident memory of the process is printed after the
+timings, so one case per process gives that case's peak:
 
     python3 benchmarks/bench_kernels.py --case leaf_assignment_shared_grid4
 """
 
 import argparse
-import importlib.util
 import itertools
-import json
-import os
 import resource
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -51,7 +40,7 @@ from robust_trees import (
 from robust_trees.adversary import worst_cases
 from robust_trees.exact import _split_patterns
 from robust_trees.heuristics import _optimize_leaves
-from robust_trees.kernels import BACKEND, canonical_structures
+from robust_trees.kernels import canonical_structures
 
 
 def _tree_for(dataset, depth, seed):
@@ -261,7 +250,7 @@ def run_suite(repeat, cases):
     for name, fn in BENCHMARKS:
         if cases and name not in cases:
             continue
-        fn()  # warm-up triggers compilation under numba
+        fn()  # warm-up
         best = min(_timed(fn) for _ in range(repeat))
         results[name] = best
     return results
@@ -273,21 +262,8 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def _run_backend(backend, repeat):
-    env = dict(os.environ, ROBUST_TREES_BACKEND=backend)
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--json",
-         "--repeat", str(repeat)],
-        env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--both", action="store_true",
-                        help="compare the numba and numpy backends")
-    parser.add_argument("--json", action="store_true",
-                        help="emit raw timings as JSON")
     parser.add_argument("--repeat", type=int, default=3,
                         help="timed repetitions per benchmark (best wins)")
     parser.add_argument("--case", action="append",
@@ -295,34 +271,10 @@ def main():
                         help="run only this case (repeatable)")
     args = parser.parse_args()
 
-    if args.both:
-        counts = structure_counts()
-        width = max(len(n) for n, _ in BENCHMARKS)
-        slow = _run_backend("numpy", args.repeat)
-        if importlib.util.find_spec("numba") is None:
-            print("numba backend: not available (numba is not installed)")
-            print(f"{'benchmark':<{width}}  {'numpy':>10}")
-            for name, _ in BENCHMARKS:
-                print(f"{name:<{width}}  {slow[name]:>9.3f}s"
-                      + _count_note(counts, name))
-            return
-        fast = _run_backend("numba", args.repeat)
-        print(f"{'benchmark':<{width}}  {'numba':>10}  {'numpy':>10}"
-              f"  {'speedup':>8}")
-        for name, _ in BENCHMARKS:
-            ratio = slow[name] / fast[name]
-            print(f"{name:<{width}}  {fast[name]:>9.3f}s  {slow[name]:>9.3f}s"
-                  f"  {ratio:>7.1f}x" + _count_note(counts, name))
-        return
-
     results = run_suite(args.repeat, args.case)
-    if args.json:
-        print(json.dumps(results))
-        return
     # read before the structure counts, which take memory of their own
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     counts = structure_counts()
-    print(f"backend: {BACKEND}")
     for name, seconds in results.items():
         print(f"  {name}: {seconds:.3f}s" + _count_note(counts, name))
     print(f"peak resident memory: {peak:.2f} MB")

@@ -16,9 +16,9 @@ improvement, and the tree, stay those of the full odometer.
 Leaf assignment (``_assign_leaves``) decomposes per leaf whenever all
 scenarios route alike (then each leaf takes the pool solution minimizing
 its samples' summed costs); otherwise ``kernels.assign_minmax``, an exact
-blocked NumPy search over leaf tuples under either backend, picks the
-first minimal tuple.  All three structure searches run through the block
-scan ``kernels.scan_structures``.  Over two or more scenarios it makes its
+blocked NumPy search over leaf tuples, picks the first minimal tuple.
+All three structure searches run through the block scan
+``kernels.scan_structures``.  Over two or more scenarios it makes its
 running best, also inside a block, each leaf search's cutoff: a routing
 with nothing strictly below it yields a ``(cutoff, None)`` certificate,
 which the per-routing memo keeps beside exact results and, as that best
@@ -208,6 +208,8 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
     returned with ``optimal=False``, the incumbent may differ from the
     one a scan over every structure would have reached by then.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     start = time.perf_counter()
     costs = dataset.costs
 

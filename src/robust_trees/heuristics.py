@@ -61,6 +61,9 @@ class HeuristicConfig:
             raise ValueError("time_limit must be positive")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1 when given")
+        if self.max_rounds is None and not np.isfinite(self.time_limit):
+            raise ValueError("time_limit must be finite when max_rounds "
+                             "is None")
 
 
 def per_sample_optima(dataset, space):

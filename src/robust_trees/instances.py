@@ -135,6 +135,8 @@ def compute_budget(dataset, lam, depth, kind, coupling="N"):
     """
     from .model import UncertaintyBudget
 
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     gamma = lam * depth * max_item_range(dataset)
     if kind == "local":
         return UncertaintyBudget.local(gamma)

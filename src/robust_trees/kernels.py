@@ -1,27 +1,17 @@
 """Hot numerical kernels.
 
-Three kernels are loops over numpy arrays written once and compiled with
-numba when it is available: ``grid_min_path`` (a dynamic program),
-``mckp_search`` and ``_assign_reach`` (branch-and-bound searches).
-``assign_reach`` evaluates a leaf-tuple grid that fits in one block in
-one NumPy broadcast under either backend and runs the branch and bound
-on larger grids.  At import time the module decides which backend runs
-the compiled loops:
+Three kernels are loops over numpy arrays: ``grid_min_path`` (a dynamic
+program), ``mckp_search`` and ``_assign_reach`` (branch-and-bound
+searches).  ``assign_reach`` evaluates a leaf-tuple grid that fits in
+one block in one NumPy broadcast and runs the branch and bound on larger
+grids.  ``benchmarks/bench_kernels.py`` times the kernels.
 
-* ``ROBUST_TREES_BACKEND=numba`` forces compilation (ImportError if numba
-  is missing),
-* ``ROBUST_TREES_BACKEND=numpy`` forces the interpreted fallback,
-* unset: numba when importable, fallback otherwise.
-
-Both paths run the identical code and return identical results; only the
-speed differs.  ``benchmarks/bench_kernels.py`` measures the gap.
-
-The rest is NumPy code under either backend.  ``canonical_structures``
-lists the split structures worth scanning, one per routing of the
-samples, as odometer codes built level by level from per-node class
-tables.  ``scan_structures``, the one split-structure scan, decodes,
-routes and settles blocks of those codes; its caller supplies each
-block's objectives (``scan_structures_free``, ``scan_structures_fixed``
+The rest is NumPy code.  ``canonical_structures`` lists the split
+structures worth scanning, one per routing of the samples, as odometer
+codes built level by level from per-node class tables.
+``scan_structures``, the one split-structure scan, decodes, routes and
+settles blocks of those codes; its caller supplies each block's
+objectives (``scan_structures_free``, ``scan_structures_fixed``
 and the multi-scenario search of ``exact.solve_master``).  ``effort_matrix``
 evaluates a batch of threshold rows of one tree structure, and
 ``assign_minmax`` blocks of leaf-tuple prefixes.  Each returns bitwise
@@ -36,8 +26,6 @@ solution; this costs a handful of extra nodes and keeps the searches exact.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _PRUNE_MARGIN = 1e-9
@@ -45,38 +33,15 @@ _BLOCK_ELEMS = 2 ** 13
 """Cap on the elements of any temporary array a scan or leaf-search block
 allocates."""
 
-_env = os.environ.get("ROBUST_TREES_BACKEND", "").strip().lower()
-if _env not in ("", "numpy", "numba"):
-    raise ValueError(
-        f"ROBUST_TREES_BACKEND must be 'numba' or 'numpy', got {_env!r}"
-    )
-
-if _env == "numpy":
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit  # noqa: F401
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-def _maybe_jit(func):
-    if HAS_NUMBA:
-        return njit(cache=True)(func)
-    return func
+# The one backend; perfbench/worker.py checks it and reports it.
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # Shortest monotone path on a directed grid
 # ---------------------------------------------------------------------------
 
-def _grid_min_path(g, costs):
+def grid_min_path(g, costs):
     """Cheapest southwest-to-northeast path on a g x g grid.
 
     Edge indexing: west-to-east edge (r, c) at r*(g-1)+c, then
@@ -171,8 +136,8 @@ def _mckp_lp_bound(t0, budget, hull_level, hull_de, hull_dv):
     return v
 
 
-def _mckp_search(cand_ptr, cand_de, cand_dv, suffix_max,
-                 hull_level, hull_pos, hull_de, hull_dv, hull_cand, gamma):
+def mckp_search(cand_ptr, cand_de, cand_dv, suffix_max,
+                hull_level, hull_pos, hull_de, hull_dv, hull_cand, gamma):
     """Depth-first exact search over one upgrade (or none) per level.
 
     Levels are samples that own at least one affordable upgrade; candidates
@@ -346,12 +311,12 @@ def _assign_reach(values, reach, minval, last_reach):
     tuple in lexicographic order (leaf 0 slowest), each sample's maximum
     summed in sample order from 0.0.
 
-    A depth-first branch and bound, one node at a time, compiled by numba
-    where it is importable; :func:`assign_reach` runs it on grids larger
-    than one block.  A node is pruned once its completion bound (each
-    sample's running maximum, raised to ``minval`` where a later leaf
-    can still reach it) reaches the best plus ``_PRUNE_MARGIN``, and the
-    best moves only on strict improvement.
+    A depth-first branch and bound, one node at a time;
+    :func:`assign_reach` runs it on grids larger than one block.  A node
+    is pruned once its completion bound (each sample's running maximum,
+    raised to ``minval`` where a later leaf can still reach it) reaches
+    the best plus ``_PRUNE_MARGIN``, and the best moves only on strict
+    improvement.
     """
     n_samples, n_pool = values.shape
     n_leaves = reach.shape[1]
@@ -638,27 +603,20 @@ def scan_structures_fixed(bits, leaf_vals, depth, codes, best_in, lb):
     return scan_structures(bits, depth, codes, best_in, lb, 0, objective)[:3]
 
 
-_mckp_lp_bound = _maybe_jit(_mckp_lp_bound)
-
-grid_min_path = _maybe_jit(_grid_min_path)
-mckp_search = _maybe_jit(_mckp_search)
-_reach_search = _maybe_jit(_assign_reach)
-
-
 def assign_reach(values, reach, minval, last_reach):
     """The leaf tuple and value of :func:`_assign_reach`, bitwise.
 
     A grid of tuples that fits in one block (``_BLOCK_ELEMS``) is
-    evaluated in one NumPy broadcast under either backend: each sample's
-    running maximum over the leaves it reaches is extended leaf by leaf,
-    the maxima are summed in sample order from 0.0, and the first argmin
-    is decoded with leaf 0 slowest.  Larger grids run the branch and
+    evaluated in one NumPy broadcast: each sample's running maximum over
+    the leaves it reaches is extended leaf by leaf, the maxima are summed
+    in sample order from 0.0, and the first argmin is decoded with leaf 0
+    slowest.  Larger grids run the branch and
     bound.
     """
     n_samples, n_pool = values.shape
     n_leaves = reach.shape[1]
     if n_pool ** n_leaves * n_samples > _BLOCK_ELEMS:
-        return _reach_search(values, reach, minval, last_reach)
+        return _assign_reach(values, reach, minval, last_reach)
     cur = np.full((n_samples, 1), -np.inf)
     for k in range(n_leaves):
         hit = np.where(reach[:, k, None], values, -np.inf)

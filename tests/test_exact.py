@@ -373,6 +373,18 @@ def test_master_matches_full_odometer(seed, depth, kind, n_random,
     assert np.float64(rep.objective).tobytes() == np.float64(obj).tobytes()
 
 
+@pytest.mark.parametrize("solve", [
+    lambda ds, space: scenario_generation(ds, UncertaintyBudget.local(1.0),
+                                          space, -1),
+    lambda ds, space: solve_master(
+        ds, ScenarioSet.zero(ds.n_samples, ds.n_items), space, -1),
+    lambda ds, space: compute_budget(ds, 0.05, -1, "local"),
+], ids=["scenario_generation", "solve_master", "compute_budget"])
+def test_negative_depth_is_rejected(demo_dataset, demo_space, solve):
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        solve(demo_dataset, demo_space)
+
+
 class TestScenarioGeneration:
     def test_demo_global_budget(self, demo_dataset, demo_space):
         rep = scenario_generation(demo_dataset,

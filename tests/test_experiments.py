@@ -197,6 +197,16 @@ class TestCli:
         assert code == cli.EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [["--gamma", "1"],
+                                        ["--lambda", "0.05"]],
+                             ids=["gamma", "lambda"])
+    def test_negative_depth_is_error(self, tmp_path, capsys, budget):
+        inst = self._generate(tmp_path)
+        code = cli.main(["solve", "--instance", str(inst), "--method", "SG",
+                         "--depth", "-1", *budget])
+        assert code == cli.EXIT_ERROR
+        assert "depth must be nonnegative" in capsys.readouterr().err
+
     def test_unknown_flag_is_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--frobnicate"])

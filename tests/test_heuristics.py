@@ -49,10 +49,15 @@ class TestHeuristicConfig:
         {"depth": -1},
         {"time_limit": 0.0},
         {"max_rounds": 0},
+        {"time_limit": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             HeuristicConfig(**kwargs)
+
+    def test_infinite_time_limit_with_round_cap(self):
+        cfg = HeuristicConfig(time_limit=float("inf"), max_rounds=1)
+        assert cfg.time_limit == float("inf")
 
 
 class TestPerSampleOptima:
