@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from robust_trees import (
-    EPSILON,
     Dataset,
     DecisionTree,
     InstanceSpec,
@@ -103,7 +102,7 @@ def _fills(grid, kind, lam):
         for _ in range(20):
             items, thetas = sample_random_structure(catalog, 2, rng)
             _optimize_leaves(DecisionTree(2, items, thetas, empty), ds,
-                             budget, pool, EPSILON, None)
+                             budget, pool, None)
 
 
 def bench_leaf_assignment_local_grid3():

@@ -7,7 +7,7 @@ routes on are corrupted by a budgeted adversary, while the objective is
 always charged at the true costs.
 """
 
-from .adversary import (AdversaryResult, PerturbationEffort, evaluate_robust,
+from .adversary import (AdversaryResult, PerturbationEffort,
                         perturbation_cost, reconstruct_perturbation,
                         solve_global, solve_local)
 from .errors import (CapExceeded, ConvergenceStall, DegenerateVariance,
@@ -41,8 +41,7 @@ __all__ = [
     "SelectionSpace", "SolveReport", "ThresholdCatalog",
     "UncertaintyBudget", "assignment_objective",
     "build_threshold_catalog", "compute_budget", "dataset_from_json",
-    "dataset_to_json", "default_sweep_lambdas", "evaluate_robust",
-    "exp_correlation",
+    "dataset_to_json", "default_sweep_lambdas", "exp_correlation",
     "exp_lambda_sweep", "exp_relative_tables", "generate_instance", "h1",
     "h_alt", "h_sol", "h_tree", "instance_from_json", "instance_to_json",
     "leaf_values", "max_item_range", "nominal_objective",

@@ -4,10 +4,11 @@ The adversary perturbs *observations only*: objectives always charge the
 true costs, a perturbation merely reroutes samples to other leaves.  The
 cheapest L1 shift that pushes sample j into leaf k is the distance from
 c_j to the box the root-to-k path carves out: each left branch on item i
-demands obs_i <= theta, each right branch obs_i >= theta + eps (eps stands
-in for strict inequality).  When one item appears on the path several
-times the constraints intersect; an empty intersection makes the leaf
-unreachable (effort +inf) for every sample.
+demands obs_i <= theta, each right branch obs_i >= theta + EPSILON
+(the fixed margin ``model.EPSILON`` stands in for strict inequality).
+When one item appears on the path several times the constraints
+intersect; an empty intersection makes the leaf unreachable (effort
++inf) for every sample.
 
 A per-sample budget (``solve_local``) decomposes into per-sample
 argmaxes.  A shared budget (``solve_global``) is a multiple-choice
@@ -22,9 +23,9 @@ in gamma together: each sample reaches its own bound, which no assignment
 beats.  The other rows run the search on their slice.  Every row's
 witness shift is rebuilt and replayed through its tree in one pass.
 ``worst_case`` (the package's one entry point for a budget: cut
-generation, ``robust_value`` and ``evaluate_robust`` go through it),
-``solve_local``, ``solve_global``, ``perturbation_cost`` and
-``reconstruct_perturbation`` are the one-row case of the same code.
+generation and ``exact.robust_value`` go through it), ``solve_local``,
+``solve_global``, ``perturbation_cost`` and ``reconstruct_perturbation``
+are the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class PerturbationEffort:
 
     rho: np.ndarray
     nominal_leaf: np.ndarray
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,17 @@ class _Boxes(NamedTuple):
     hi: np.ndarray
 
 
-def _boxes(tree, thresholds, eps):
+def _boxes(tree, thresholds):
     """Boxes of every leaf of ``tree``'s structure under each threshold row.
 
     Each bound slot intersects every branch of the path on its item: right
-    branches demand obs >= theta + eps, left ones obs <= theta.
+    branches demand obs >= theta + EPSILON, left ones obs <= theta.
     """
     layout = _layout(tree.depth, tree.items)
     theta = thresholds[:, layout.node]
     steps = theta[:, :, None, :]
-    lo = np.where(layout.lo_on, steps + eps, -np.inf).max(axis=3,
-                                                          initial=-np.inf)
+    lo = np.where(layout.lo_on, steps + EPSILON, -np.inf).max(
+        axis=3, initial=-np.inf)
     hi = np.where(layout.hi_on, steps, np.inf).min(axis=3, initial=np.inf)
     return _Boxes(layout, theta, lo, hi)
 
@@ -157,26 +157,26 @@ def _nominal(costs, boxes):
                     layout.right).argmax(axis=2)
 
 
-def _efforts(tree, thresholds, dataset, eps):
+def _efforts(tree, thresholds, dataset):
     """Boxes, nominal leaves (rows, samples) and efforts (rows, samples,
     leaves) of ``tree`` under each threshold row."""
     if dataset.n_items != tree.n_items:
         raise ValueError("dataset and tree disagree on the number of items")
-    boxes = _boxes(tree, thresholds, eps)
+    boxes = _boxes(tree, thresholds)
     nominal = _nominal(dataset.costs, boxes)
     rho = kernels.effort_matrix(dataset.costs, boxes.layout.item, boxes.lo,
                                 boxes.hi, nominal)
     return boxes, nominal, rho
 
 
-def perturbation_cost(tree, dataset, eps=EPSILON):
+def perturbation_cost(tree, dataset):
     """Effort matrix rho[j, k]; zero exactly at each sample's nominal leaf.
 
     The zero shift reaches the nominal leaf even when an observation lies
-    less than ``eps`` above a threshold, outside that leaf's box.
+    less than ``EPSILON`` above a threshold, outside that leaf's box.
     """
-    _, nominal, rho = _efforts(tree, tree.thresholds[None], dataset, eps)
-    return PerturbationEffort(rho[0], nominal[0], eps)
+    _, nominal, rho = _efforts(tree, tree.thresholds[None], dataset)
+    return PerturbationEffort(rho[0], nominal[0])
 
 
 def _shifts(costs, boxes, empty, assignment):
@@ -187,7 +187,7 @@ def _shifts(costs, boxes, empty, assignment):
     the final addition).  ``cost + (edge - cost)`` can land an ulp above
     an upper edge, which would flip the branch; the shift is then stepped
     down until the sum respects the edge.  An ulp below a lower edge is
-    harmless because lower edges carry the ``eps`` routing margin.  An
+    harmless because lower edges carry the ``EPSILON`` routing margin.  An
     empty box (``empty[r, k]``) has no edge: its samples are not shifted.
     """
     rows = np.arange(assignment.shape[0])[:, None]
@@ -221,7 +221,7 @@ def _witnesses(costs, boxes, nominal, assignment):
     """Minimal witness shifts (rows, samples, items), replayed.
 
     Samples assigned to their nominal leaf keep a zero shift, matching
-    their zero effort, also when they lie inside the ``eps`` margin; the
+    their zero effort, also when they lie inside the ``EPSILON`` margin; the
     others are clamped into their target box (:func:`_shifts`).  Every
     shifted observation is replayed along its target leaf's path; a target
     the shift does not reach raises :class:`InfeasibleTarget`.
@@ -245,7 +245,7 @@ def _witnesses(costs, boxes, nominal, assignment):
     return xi
 
 
-def reconstruct_perturbation(tree, dataset, assignment, eps=EPSILON):
+def reconstruct_perturbation(tree, dataset, assignment):
     """Minimal witness shift routing each sample to its assigned leaf.
 
     Each constrained observation is clamped to the nearest edge of the
@@ -254,7 +254,7 @@ def reconstruct_perturbation(tree, dataset, assignment, eps=EPSILON):
     :class:`InfeasibleTarget` for contradictory targets.
     """
     assignment = np.asarray(assignment, dtype=np.int64)[None]
-    boxes = _boxes(tree, tree.thresholds[None], eps)
+    boxes = _boxes(tree, tree.thresholds[None])
     return _witnesses(dataset.costs, boxes, _nominal(dataset.costs, boxes),
                       assignment)[0]
 
@@ -353,7 +353,7 @@ def _shared_upgrades(per_sample, gamma, assignment):
             assignment[j] = cand_leaf[choice[t]]
 
 
-def _solve(tree, thresholds, dataset, kind, gamma, eps):
+def _solve(tree, thresholds, dataset, kind, gamma):
     """Worst cases of ``tree`` under each row of ``thresholds``.
 
     Returns (objective, assignment, xi, effort) with a leading row axis.
@@ -363,7 +363,7 @@ def _solve(tree, thresholds, dataset, kind, gamma, eps):
     Objectives are recomputed canonically from the chosen assignment.
     """
     check_gamma(gamma)
-    boxes, nominal, rho = _efforts(tree, thresholds, dataset, eps)
+    boxes, nominal, rho = _efforts(tree, thresholds, dataset)
     values = leaf_values(dataset, tree)
     cols = np.arange(dataset.n_samples)
     base = values[cols, nominal]
@@ -392,24 +392,24 @@ def _solve(tree, thresholds, dataset, kind, gamma, eps):
     return objective, assignment, xi, effort
 
 
-def _one(tree, dataset, kind, gamma, eps):
+def _one(tree, dataset, kind, gamma):
     objective, assignment, xi, effort = _solve(
-        tree, tree.thresholds[None], dataset, kind, gamma, eps)
+        tree, tree.thresholds[None], dataset, kind, gamma)
     return AdversaryResult(float(objective[0]), assignment[0], xi[0],
                            float(effort[0]))
 
 
-def solve_local(tree, dataset, gamma, eps=EPSILON):
+def solve_local(tree, dataset, gamma):
     """Worst case when every sample gets its own budget gamma.
 
     Per sample: the most expensive leaf among those with effort <= gamma.
     Ties keep the nominal leaf if it attains the maximum, otherwise the
     lowest leaf index.
     """
-    return _one(tree, dataset, "local", gamma, eps)
+    return _one(tree, dataset, "local", gamma)
 
 
-def solve_global(tree, dataset, gamma, eps=EPSILON):
+def solve_global(tree, dataset, gamma):
     """Worst case when one budget gamma is shared across all samples.
 
     Exact: when every sample's best affordable upgrade fits in gamma
@@ -420,17 +420,17 @@ def solve_global(tree, dataset, gamma, eps=EPSILON):
     (``kernels.mckp_search``).  The reported objective is recomputed
     canonically from the chosen assignment.
     """
-    return _one(tree, dataset, "global", gamma, eps)
+    return _one(tree, dataset, "global", gamma)
 
 
-def worst_case(tree, dataset, budget, eps=EPSILON):
+def worst_case(tree, dataset, budget):
     """Exact worst case of a tree under ``budget``, by the budget's kind."""
     if budget.kind == "local":
-        return solve_local(tree, dataset, budget.gamma, eps)
-    return solve_global(tree, dataset, budget.gamma, eps)
+        return solve_local(tree, dataset, budget.gamma)
+    return solve_global(tree, dataset, budget.gamma)
 
 
-def worst_cases(tree, thresholds, dataset, budget, eps=EPSILON):
+def worst_cases(tree, thresholds, dataset, budget):
     """Worst-case objective of ``tree.with_thresholds(row)`` for each row.
 
     ``thresholds`` is (rows, internal nodes).  Every value is bitwise the
@@ -439,18 +439,7 @@ def worst_cases(tree, thresholds, dataset, budget, eps=EPSILON):
     values come from one pass over the batch.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    return _solve(tree, thresholds, dataset, budget.kind, budget.gamma,
-                  eps)[0]
-
-
-def evaluate_robust(tree, dataset, budget, space=None, eps=EPSILON):
-    """Worst-case objective under the given budget kind.
-
-    When ``space`` is passed, the tree's leaves are checked against it
-    first.
-    """
-    check_leaves(tree, space)
-    return worst_case(tree, dataset, budget, eps).objective
+    return _solve(tree, thresholds, dataset, budget.kind, budget.gamma)[0]
 
 
 def check_leaves(tree, space):

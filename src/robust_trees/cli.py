@@ -11,7 +11,6 @@ import json
 import sys
 
 from . import experiments, heuristics
-from .adversary import evaluate_robust
 from .exact import post_process, robust_value, scenario_generation
 from .instances import (InstanceSpec, compute_budget, generate_instance,
                         instance_from_json, instance_to_json)
@@ -187,8 +186,8 @@ def _cmd_evaluate(args):
     payload = {
         "budget": {"kind": budget.kind, "gamma": budget.gamma},
         "nominal_train": nominal_objective(tree, inst.train),
-        "robust_train": evaluate_robust(tree, inst.train, budget,
-                                        space=inst.space),
+        "robust_train": robust_value(tree, inst.train, budget,
+                                     space=inst.space),
         "nominal_test": nominal_objective(tree, inst.test),
     }
     _emit(payload, args.out)

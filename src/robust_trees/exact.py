@@ -27,13 +27,14 @@ only falls, never recomputes.
 ``_cut_generation`` is the package's one cut-generation loop: it
 alternates a master with the exact adversary (``adversary.worst_case``),
 appending each worst-case shift as a new scenario until the two values
-meet within tolerance.  ``scenario_generation`` runs it with
+meet within ``OBJECTIVE_TOL``.  ``scenario_generation`` runs it with
 ``solve_master``, which certifies optimality over the catalog-split
 family; the shared-budget leaf optimizer of the heuristics runs it with a
 leaf-assignment master.  ``robust_value`` is the worst-case objective of
-one tree.  ``post_process`` slides thresholds inside their enclosing
-observed-value intervals and keeps the best tree found; it evaluates the
-whole grid of threshold combinations in one batched adversary pass
+one tree, its leaves first checked against a space when one is given.
+``post_process`` slides thresholds inside their enclosing observed-value
+intervals and keeps the best tree found; it evaluates the whole grid of
+threshold combinations in one batched adversary pass
 (``adversary.worst_cases``).
 """
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import adversary, kernels
 from .errors import CapExceeded, ConvergenceStall, NoSplitAvailable
-from .model import (EPSILON, OBJECTIVE_TOL, DecisionTree, assignment_objective,
+from .model import (OBJECTIVE_TOL, DecisionTree, assignment_objective,
                     build_threshold_catalog, leaf_values)
 
 PI_GRID = tuple(round(0.1 * t, 1) for t in range(1, 10))
@@ -59,6 +60,7 @@ _TIME_CHECK = 2048
 _MAX_STRUCTURES = 2 ** 62
 _GRID_ELEMS = 2 ** 18
 """Cap on a threshold-grid block: rows times per-row sample work."""
+_DUP_TOL = 1e-9  # entrywise tolerance at which two scenarios are the same
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,9 @@ class ScenarioSet:
     def n_scenarios(self):
         return self.xi.shape[0]
 
-    def contains(self, xi_new, tol=1e-9):
-        return bool(np.all(np.abs(self.xi - xi_new) <= tol, axis=(1, 2)).any())
+    def contains(self, xi_new):
+        return bool(np.all(np.abs(self.xi - xi_new) <= _DUP_TOL,
+                           axis=(1, 2)).any())
 
     def append(self, xi_new):
         return ScenarioSet(np.concatenate([self.xi, xi_new[None]], axis=0))
@@ -179,7 +182,7 @@ def _assign_leaves(values, leafm, n_leaves, cutoff):
         for k in range(n_leaves):
             obj += float(agg[0, k, tup[k]])
     else:
-        obj, tup = kernels.assign_minmax(agg, agg.min(axis=2), cutoff)
+        obj, tup = kernels.assign_minmax(agg, cutoff)
     return (obj, tup) if obj < cutoff else (cutoff, None)
 
 
@@ -303,12 +306,17 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
                        not timed_out)
 
 
-def robust_value(tree, dataset, budget, eps=EPSILON):
-    """Worst-case objective of a tree under the budget's kind."""
-    return adversary.worst_case(tree, dataset, budget, eps).objective
+def robust_value(tree, dataset, budget, space=None):
+    """Worst-case objective of a tree under the budget's kind.
+
+    When ``space`` is given, the tree's leaves are checked against it
+    first (``ValueError`` at the first infeasible leaf).
+    """
+    adversary.check_leaves(tree, space)
+    return adversary.worst_case(tree, dataset, budget).objective
 
 
-def _cut_generation(master, dataset, budget, time_limit, tol, eps, dup_tol):
+def _cut_generation(master, dataset, budget, time_limit):
     """Alternate ``master`` with the exact adversary until they meet.
 
     ``master(scenarios, remaining)`` returns ``(tree, value, optimal)``:
@@ -316,9 +324,9 @@ def _cut_generation(master, dataset, budget, time_limit, tol, eps, dup_tol):
     there, and whether that value is exact (``remaining`` is the time left,
     or None).  Every master tree is handed to the adversary, so the report's
     ``objective`` is always the exact worst case of its tree.  The loop
-    stops when the values meet within ``tol`` (certified), when the master
-    was not exact, or past ``time_limit``; a worst case already among the
-    scenarios (within ``dup_tol`` entrywise) raises
+    stops when the values meet within ``OBJECTIVE_TOL`` (certified), when
+    the master was not exact, or past ``time_limit``; a worst case already
+    among the scenarios (within ``_DUP_TOL`` entrywise) raises
     :class:`ConvergenceStall`.
     """
     start = time.perf_counter()
@@ -329,8 +337,8 @@ def _cut_generation(master, dataset, budget, time_limit, tol, eps, dup_tol):
                      else time_limit - (time.perf_counter() - start))
         tree, value, optimal = master(scen, remaining)
         masters.append(value)
-        adv = adversary.worst_case(tree, dataset, budget, eps)
-        done = optimal and adv.objective - value <= tol
+        adv = adversary.worst_case(tree, dataset, budget)
+        done = optimal and adv.objective - value <= OBJECTIVE_TOL
         late = (time_limit is not None
                 and time.perf_counter() - start > time_limit)
         if done or not optimal or late:
@@ -338,22 +346,21 @@ def _cut_generation(master, dataset, budget, time_limit, tol, eps, dup_tol):
                 "SG", tree, adv.objective, value, len(masters),
                 time.perf_counter() - start, done, done,
                 extras={"master_objectives": masters})
-        if scen.contains(adv.xi, dup_tol):
+        if scen.contains(adv.xi):
             raise ConvergenceStall(
                 "worst-case scenario repeated without convergence")
         scen = scen.append(adv.xi)
 
 
 def scenario_generation(dataset, budget, space, depth, catalog=None,
-                        pool=None, fixed_leaves=None, time_limit=3600.0,
-                        tol=OBJECTIVE_TOL, eps=EPSILON, dup_tol=1e-9):
+                        pool=None, fixed_leaves=None, time_limit=3600.0):
     """Alternate master and adversary until their values meet.
 
     Master values are nondecreasing in the iteration count.  Convergence
-    (|master - adversary| <= tol) certifies the tree optimal over the
-    catalog-split family (with ``fixed_leaves``: optimal structure for
-    those leaves).  A worst case identical (within ``dup_tol`` entrywise)
-    to a stored scenario cannot cut anything off and raises
+    (|master - adversary| <= ``OBJECTIVE_TOL``) certifies the tree optimal
+    over the catalog-split family (with ``fixed_leaves``: optimal structure
+    for those leaves).  A worst case identical (within ``_DUP_TOL``
+    entrywise) to a stored scenario cannot cut anything off and raises
     :class:`ConvergenceStall`.  Hitting ``time_limit`` returns the current
     incumbent with ``converged=False``, its exact worst case as
     ``objective`` and the last master value as ``master_objective``; a
@@ -366,19 +373,19 @@ def scenario_generation(dataset, budget, space, depth, catalog=None,
                          time_limit=remaining)
         return m.tree, m.master_objective, m.optimal
 
-    return _cut_generation(master, dataset, budget, time_limit, tol, eps,
-                           dup_tol)
+    return _cut_generation(master, dataset, budget, time_limit)
 
 
-def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,
+def post_process(tree, dataset, budget, space=None, pis=PI_GRID,
                  input_objective=None):
     """Refine thresholds inside their enclosing observed-value intervals.
 
     Each internal node's threshold is replaced by candidates interpolating
-    the two observed values bracketing it (weights ``pis``); a threshold
-    that does not lie strictly between two observations is kept.  Every
-    combination in the product of those options (node 0 slowest, as
-    ``itertools.product``) is evaluated exactly: prod(|options|) rows,
+    the two observed values bracketing it (weights ``pis``, each strictly
+    between 0 and 1, else ``ValueError``); a threshold that does not lie
+    strictly between two observations is kept.  Every combination in the
+    product of those options (node 0 slowest, as ``itertools.product``)
+    is evaluated exactly: prod(|options|) rows,
     |pis|^nodes when all thresholds sit strictly between observations.
     The rows go to ``adversary.worst_cases`` in blocks of at most
     ``_GRID_ELEMS`` elements of per-row work, one block for the trees the
@@ -389,10 +396,12 @@ def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,
     grid, so no extra evaluation is needed; otherwise ``input_objective``
     is used as the reference (one extra row when omitted).
     """
+    if not all(0.0 < pi < 1.0 for pi in pis):
+        raise ValueError("interpolation weights must lie strictly between "
+                         "0 and 1")
     adversary.check_leaves(tree, space)
     if tree.depth == 0:
-        adversary.worst_cases(tree, tree.thresholds[None], dataset, budget,
-                              eps)
+        adversary.worst_cases(tree, tree.thresholds[None], dataset, budget)
         return tree
 
     options = []
@@ -422,7 +431,7 @@ def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,
     original_val = None
     for start in range(0, total, block):
         rows = _grid_rows(options, sizes, start, min(start + block, total))
-        vals = adversary.worst_cases(tree, rows, dataset, budget, eps)
+        vals = adversary.worst_cases(tree, rows, dataset, budget)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = vals[i]
@@ -434,7 +443,7 @@ def post_process(tree, dataset, budget, space=None, pis=PI_GRID, eps=EPSILON,
         ref = original_val
     if ref is None:
         ref = adversary.worst_cases(tree, tree.thresholds[None], dataset,
-                                    budget, eps)[0]
+                                    budget)[0]
     if best_val < ref - 1e-9:
         return tree.with_thresholds(best_row)
     return tree

@@ -22,7 +22,7 @@ from .exact import robust_value, scenario_generation
 from .heuristics import (HeuristicConfig, h1, h_tree, optimize_leaves_local,
                          sample_random_structure)
 from .instances import InstanceSpec, compute_budget, generate_instance
-from .model import (EPSILON, DecisionTree, UncertaintyBudget,
+from .model import (DecisionTree, UncertaintyBudget,
                     build_threshold_catalog, nominal_objective)
 
 
@@ -82,8 +82,7 @@ def write_csv(path, fieldnames, rows):
 
 
 def _corr_instance(args):
-    (iseed, grid_side, n_train, n_trees, depth, lambdas, couplings,
-     eps) = args
+    iseed, grid_side, n_train, n_trees, depth, lambdas, couplings = args
     inst = generate_instance(InstanceSpec(grid_side=grid_side,
                                           n_train=n_train, n_test=1,
                                           seed=iseed))
@@ -97,19 +96,18 @@ def _corr_instance(args):
     for _ in range(n_trees):
         items, thetas = sample_random_structure(catalog, depth, rng)
         base = DecisionTree(depth, items, thetas, stub)
-        tree, _ = optimize_leaves_local(base, train, 0.0, pool, eps)
+        tree, _ = optimize_leaves_local(base, train, 0.0, pool)
         trees.append(tree)
     rows = []
     for lam in lambdas:
         gamma_loc = compute_budget(train, lam, depth, "local").gamma
-        local_vals = [adversary.solve_local(t, train, gamma_loc,
-                                            eps).objective for t in trees]
+        local_vals = [adversary.solve_local(t, train, gamma_loc).objective
+                      for t in trees]
         for coupling in couplings:
             gamma_glo = compute_budget(train, lam, depth, "global",
                                        coupling).gamma
             for k, tree in enumerate(trees):
-                gv = adversary.solve_global(tree, train, gamma_glo,
-                                            eps).objective
+                gv = adversary.solve_global(tree, train, gamma_glo).objective
                 rows.append({"instance_seed": iseed, "tree": k,
                              "lam": lam, "coupling": coupling,
                              "local_value": local_vals[k],
@@ -120,7 +118,7 @@ def _corr_instance(args):
 def exp_correlation(out_dir=None, n_instances=20, grid_side=4, n_train=5,
                     n_trees=200, depth=2,
                     lambdas=(0.05, 0.1, 0.15, 0.2), couplings=("N", "1"),
-                    seed=0, workers=None, eps=EPSILON):
+                    seed=0, workers=None):
     """Correlate per-sample and shared worst cases over random trees.
 
     Leaves of each random structure are filled optimally at a zero
@@ -130,7 +128,7 @@ def exp_correlation(out_dir=None, n_instances=20, grid_side=4, n_train=5,
     """
     seeds = _instance_seeds(seed, n_instances)
     tasks = [(s, grid_side, n_train, n_trees, depth, tuple(lambdas),
-              tuple(couplings), eps) for s in seeds]
+              tuple(couplings)) for s in seeds]
     pairs = [row for rows in _map(_corr_instance, tasks, workers)
              for row in rows]
     summary = []
@@ -169,8 +167,7 @@ def default_sweep_lambdas():
 
 
 def _sweep_instance(args):
-    (iseed, grid_side, n_train, depth, lambdas, coupling, time_limit,
-     eps) = args
+    iseed, grid_side, n_train, depth, lambdas, coupling, time_limit = args
     inst = generate_instance(InstanceSpec(grid_side=grid_side,
                                           n_train=n_train, n_test=1,
                                           seed=iseed))
@@ -182,15 +179,13 @@ def _sweep_instance(args):
         b_loc = compute_budget(train, lam, depth, "local")
         b_glo = compute_budget(train, lam, depth, "global", coupling)
         rep_loc = scenario_generation(train, b_loc, space, depth,
-                                      catalog=catalog,
-                                      time_limit=time_limit, eps=eps)
+                                      catalog=catalog, time_limit=time_limit)
         rep_glo = scenario_generation(train, b_glo, space, depth,
-                                      catalog=catalog,
-                                      time_limit=time_limit, eps=eps)
+                                      catalog=catalog, time_limit=time_limit)
         v_ll = rep_loc.objective
         v_gg = rep_glo.objective
-        v_lg = robust_value(rep_loc.tree, train, b_glo, eps)
-        v_gl = robust_value(rep_glo.tree, train, b_loc, eps)
+        v_lg = robust_value(rep_loc.tree, train, b_glo)
+        v_gl = robust_value(rep_glo.tree, train, b_loc)
         rows.append({
             "instance_seed": iseed, "lam": lam,
             "local_opt": v_ll, "local_tree_under_global": v_lg,
@@ -204,7 +199,7 @@ def _sweep_instance(args):
 
 def exp_lambda_sweep(out_dir=None, n_instances=5, grid_side=3, n_train=4,
                      depth=1, lambdas=None, coupling="N", seed=0,
-                     time_limit=60.0, workers=None, eps=EPSILON):
+                     time_limit=60.0, workers=None):
     """Exact trees across a budget-scale grid, cross-evaluated.
 
     For each lambda the per-sample and shared optimal trees are computed
@@ -215,7 +210,7 @@ def exp_lambda_sweep(out_dir=None, n_instances=5, grid_side=3, n_train=4,
         lambdas = default_sweep_lambdas()
     seeds = _instance_seeds(seed, n_instances)
     tasks = [(s, grid_side, n_train, depth, tuple(lambdas), coupling,
-              time_limit, eps) for s in seeds]
+              time_limit) for s in seeds]
     rows = [row for rows in _map(_sweep_instance, tasks, workers)
             for row in rows]
     summary = []
@@ -243,7 +238,7 @@ def exp_lambda_sweep(out_dir=None, n_instances=5, grid_side=3, n_train=4,
 
 def _tables_run(args):
     (iseed, grid_side, n_train, n_test, depth, lam, coupling, kinds,
-     time_limit, heur_seed, eps) = args
+     time_limit, heur_seed) = args
     inst = generate_instance(InstanceSpec(grid_side=grid_side,
                                           n_train=n_train, n_test=n_test,
                                           seed=iseed))
@@ -251,21 +246,21 @@ def _tables_run(args):
     test = inst.test
     space = inst.space
     base = scenario_generation(train, UncertaintyBudget.local(0.0), space,
-                               depth, eps=eps).tree
+                               depth).tree
     h1_tree = h1(train, space).tree
     rows = []
     for kind in kinds:
         budget = compute_budget(train, lam, depth, kind, coupling)
         cfg = HeuristicConfig(depth=depth, time_limit=time_limit,
                               seed=heur_seed)
-        ht_tree = h_tree(train, budget, space, cfg, eps=eps).tree
+        ht_tree = h_tree(train, budget, space, cfg).tree
         for method, tree in (("nominal", base), ("H1", h1_tree),
                              ("Htree", ht_tree)):
             rows.append({
                 "grid_side": grid_side, "n_train": n_train,
                 "instance_seed": iseed, "kind": kind, "method": method,
                 "nominal_train": nominal_objective(tree, train),
-                "robust_train": robust_value(tree, train, budget, eps),
+                "robust_train": robust_value(tree, train, budget),
                 "nominal_test": nominal_objective(tree, test),
             })
     return rows
@@ -278,7 +273,7 @@ def exp_relative_tables(out_dir=None, grid_sides=(3, 4), train_sizes=(3, 5),
                         n_instances=2, n_test=1000, depth=2, lam=0.05,
                         coupling="N", kinds=("local", "global"), seed=0,
                         heuristic_time_limit=60.0, heuristic_seed=0,
-                        workers=None, eps=EPSILON):
+                        workers=None):
     """Method comparison scaled against the best nominal tree.
 
     For each cell (grid side, training size) and instance, the nominal
@@ -296,7 +291,7 @@ def exp_relative_tables(out_dir=None, grid_sides=(3, 4), train_sizes=(3, 5),
             for _ in range(n_instances):
                 tasks.append((cell_seeds[k], g, n_train, n_test, depth,
                               lam, coupling, tuple(kinds),
-                              heuristic_time_limit, heuristic_seed, eps))
+                              heuristic_time_limit, heuristic_seed))
                 k += 1
     raw = [row for rows in _map(_tables_run, tasks, workers)
            for row in rows]

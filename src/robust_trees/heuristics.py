@@ -34,7 +34,7 @@ from . import adversary, kernels
 from .errors import ConvergenceStall, NoSplitAvailable
 from .exact import (SolveReport, _assign_leaves, _cut_generation,
                     scenario_generation)
-from .model import (EPSILON, OBJECTIVE_TOL, DecisionTree, UncertaintyBudget,
+from .model import (OBJECTIVE_TOL, DecisionTree, UncertaintyBudget,
                     assignment_objective, build_threshold_catalog,
                     check_gamma, leaf_values)
 
@@ -45,8 +45,9 @@ _INNER_PASS_CAP = 1000
 class HeuristicConfig:
     """Knobs shared by the randomized heuristics.
 
-    ``max_rounds`` caps restarts regardless of time, mainly for
-    deterministic tests; ``None`` means run until ``time_limit``.
+    ``max_rounds`` (an ``int`` of at least 1) caps restarts regardless of
+    time, mainly for deterministic tests; ``None`` means run until
+    ``time_limit``.
     """
 
     depth: int = 2
@@ -59,8 +60,10 @@ class HeuristicConfig:
             raise ValueError("depth must be nonnegative")
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1 when given")
+        # type(), not isinstance(): True is an int too
+        if self.max_rounds is not None and (
+                type(self.max_rounds) is not int or self.max_rounds < 1):
+            raise ValueError("max_rounds must be an int >= 1 when given")
         if self.max_rounds is None and not np.isfinite(self.time_limit):
             raise ValueError("time_limit must be finite when max_rounds "
                              "is None")
@@ -110,27 +113,22 @@ def sample_random_structure(catalog, depth, rng):
     return items, thetas
 
 
-def optimize_leaves_local(tree, dataset, gamma, pool, eps=EPSILON):
+def optimize_leaves_local(tree, dataset, gamma, pool):
     """Exact best leaf assignment from ``pool`` for a fixed structure
     under a per-sample budget.  Returns the tree and its worst case."""
     check_gamma(gamma)
     pool = np.asarray(pool, dtype=np.int8)
-    eff = adversary.perturbation_cost(tree, dataset, eps)
+    eff = adversary.perturbation_cost(tree, dataset)
     reach = np.ascontiguousarray(eff.rho <= gamma)
     values = np.ascontiguousarray(
         dataset.costs @ pool.astype(np.float64).T)
-    minval = values.min(axis=1)
-    last_reach = reach.shape[1] - 1 - np.argmax(reach[:, ::-1], axis=1)
-    _, pick = kernels.assign_reach(values, reach, minval,
-                                   last_reach.astype(np.int64))
+    _, pick = kernels.assign_reach(values, reach)
     refined = tree.with_leaves(pool[pick])
-    obj = adversary.solve_local(refined, dataset, gamma, eps).objective
+    obj = adversary.solve_local(refined, dataset, gamma).objective
     return refined, obj
 
 
-def optimize_leaves_global(tree, dataset, gamma, pool, eps=EPSILON,
-                           tol=OBJECTIVE_TOL, time_limit=None,
-                           dup_tol=1e-9):
+def optimize_leaves_global(tree, dataset, gamma, pool, time_limit=None):
     """Exact best leaf assignment for a fixed structure under a shared
     budget, via cut generation over leaf assignments.
 
@@ -149,14 +147,14 @@ def optimize_leaves_global(tree, dataset, gamma, pool, eps=EPSILON,
         return tree.with_leaves(pool[pick]), value, True
 
     rep = _cut_generation(master, dataset, UncertaintyBudget.global_(gamma),
-                          time_limit, tol, eps, dup_tol)
+                          time_limit)
     return rep.tree, rep.objective
 
 
-def _optimize_leaves(tree, dataset, budget, pool, eps, time_limit):
+def _optimize_leaves(tree, dataset, budget, pool, time_limit):
     if budget.kind == "local":
-        return optimize_leaves_local(tree, dataset, budget.gamma, pool, eps)
-    return optimize_leaves_global(tree, dataset, budget.gamma, pool, eps,
+        return optimize_leaves_local(tree, dataset, budget.gamma, pool)
+    return optimize_leaves_global(tree, dataset, budget.gamma, pool,
                                   time_limit=time_limit)
 
 
@@ -189,7 +187,7 @@ def _restarts(method, config, start, one_round):
                        extras={"rounds": rounds})
 
 
-def _random_fill(dataset, budget, space, config, catalog, pool, eps):
+def _random_fill(dataset, budget, space, config, catalog, pool):
     """Round start of ``h_tree`` and ``h_alt``.
 
     Returns ``(catalog, pool, fill)``; ``fill(remaining)`` draws a random
@@ -206,23 +204,20 @@ def _random_fill(dataset, budget, space, config, catalog, pool, eps):
     def fill(remaining):
         items, thetas = sample_random_structure(catalog, config.depth, rng)
         base = DecisionTree(config.depth, items, thetas, stub)
-        return _optimize_leaves(base, dataset, budget, pool, eps,
-                                remaining())
+        return _optimize_leaves(base, dataset, budget, pool, remaining())
 
     return catalog, pool, fill
 
 
-def h_tree(dataset, budget, space, config=None, catalog=None, pool=None,
-           eps=EPSILON):
+def h_tree(dataset, budget, space, config=None, catalog=None, pool=None):
     """Random structures, exact leaves; keep the best tree found."""
     config = config if config is not None else HeuristicConfig()
     start = time.perf_counter()
-    _, _, fill = _random_fill(dataset, budget, space, config, catalog, pool,
-                              eps)
+    _, _, fill = _random_fill(dataset, budget, space, config, catalog, pool)
     return _restarts("Htree", config, start, fill)
 
 
-def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
+def h_sol(dataset, budget, space, config=None, catalog=None):
     """Random leaf sets from the per-sample optima, exact structures.
 
     Each round draws one solution per leaf (with replacement) from the
@@ -248,7 +243,7 @@ def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
             rep = scenario_generation(dataset, budget, space, config.depth,
                                       catalog=catalog, fixed_leaves=fixed,
                                       time_limit=remaining()
-                                      / next(rounds_left), eps=eps)
+                                      / next(rounds_left))
         except ConvergenceStall:
             return None
         return rep.tree, rep.objective
@@ -256,8 +251,7 @@ def h_sol(dataset, budget, space, config=None, catalog=None, eps=EPSILON):
     return _restarts("Hsol", config, start, one_round)
 
 
-def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
-          eps=EPSILON):
+def h_alt(dataset, budget, space, config=None, catalog=None, pool=None):
     """Alternate structure and leaf improvement from random restarts.
 
     Within a restart: optimize leaves for a random structure, then
@@ -273,7 +267,7 @@ def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
     config = config if config is not None else HeuristicConfig()
     start = time.perf_counter()
     catalog, pool, fill = _random_fill(dataset, budget, space, config,
-                                       catalog, pool, eps)
+                                       catalog, pool)
     all_passes = []
 
     def one_round(remaining):
@@ -285,14 +279,14 @@ def h_alt(dataset, budget, space, config=None, catalog=None, pool=None,
                 rep = scenario_generation(dataset, budget, space,
                                           config.depth, catalog=catalog,
                                           fixed_leaves=tree.leaves,
-                                          time_limit=remaining(), eps=eps)
+                                          time_limit=remaining())
             except ConvergenceStall:
                 break
             passes.append(rep.objective)
             if rep.objective > cur + OBJECTIVE_TOL:
                 break
             tree_c, val_c = _optimize_leaves(rep.tree, dataset, budget,
-                                             pool, eps, remaining())
+                                             pool, remaining())
             passes.append(val_c)
             if val_c > cur:
                 break

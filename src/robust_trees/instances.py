@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _dataset_dict, _dataset_from_dict
 from .spaces import GridGraph
 
 
@@ -33,13 +33,27 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class Instance:
-    """A grid, its cost-generating scenarios, and drawn datasets."""
+    """A grid, its cost-generating scenarios, and drawn datasets.
+
+    Every basis scenario and every sample has one entry per grid edge,
+    else ``ValueError``.
+    """
 
     grid_side: int
     seed: int
     basis_scenarios: np.ndarray
     train: Dataset
     test: Dataset
+
+    def __post_init__(self):
+        n_items = self.space.n_items
+        if self.basis_scenarios.shape[1:] != (n_items, 2):
+            raise ValueError(f"basis scenarios must be (scenarios, "
+                             f"{n_items}, 2) for grid side {self.grid_side}")
+        for name, ds in (("train", self.train), ("test", self.test)):
+            if ds.n_items != n_items:
+                raise ValueError(f"{name} rows have {ds.n_items} items, grid "
+                                 f"side {self.grid_side} has {n_items}")
 
     @property
     def space(self):
@@ -91,20 +105,6 @@ def instance_to_json(instance):
         "train": _dataset_dict(instance.train),
         "test": _dataset_dict(instance.test),
     })
-
-
-def _dataset_dict(dataset):
-    out = {"n_items": dataset.n_items,
-           "samples": dataset.costs.tolist()}
-    if dataset.labels is not None:
-        out["labels"] = dataset.labels.tolist()
-    return out
-
-
-def _dataset_from_dict(d):
-    labels = d.get("labels")
-    return Dataset(np.asarray(d["samples"], dtype=np.float64),
-                   labels=None if labels is None else np.asarray(labels))
 
 
 def instance_from_json(text):

@@ -17,7 +17,8 @@ evaluates a batch of threshold rows of one tree structure, and
 ``assign_minmax`` blocks of leaf-tuple prefixes.  Each returns bitwise
 what the matching one-at-a-time loop returns (``tests/oracles.py`` keeps
 those loops as their reference), as the one-block ``assign_reach``
-returns bitwise what ``_assign_reach`` returns.
+returns bitwise what ``_assign_reach`` returns.  The two leaf searches
+work out their bound inputs themselves, only on grids above one block.
 
 Branch-and-bound kernels use small safety margins (1e-9 absolute) so that
 float rounding in bound arithmetic can never prune a strictly better
@@ -217,12 +218,11 @@ def mckp_search(cand_ptr, cand_de, cand_dv, suffix_max,
 # Leaf-tuple assignment, scenario-coupled (minimize the max scenario sum)
 # ---------------------------------------------------------------------------
 
-def assign_minmax(agg, minagg, cutoff):
+def assign_minmax(agg, cutoff):
     """Pick one candidate per leaf minimizing max_s of the summed values.
 
     agg[s, k, p]: total value of candidate p at leaf k under scenario s
-    (summed over the samples the scenario routes to k).  minagg[s, k] is
-    the per-(s, k) minimum over p, used for the completion bound.  Returns
+    (summed over the samples the scenario routes to k).  Returns
     the first minimal tuple in lexicographic order (leaf 0 slowest) and
     its value when that value is strictly below ``cutoff``, else
     (cutoff, all -1).  A tuple's value sums its leaves in leaf order from
@@ -231,13 +231,14 @@ def assign_minmax(agg, minagg, cutoff):
     A grid of tuples that fits in one block (``_BLOCK_ELEMS``) is
     evaluated in one broadcast.  Otherwise prefixes are expanded level by
     level in lexicographic chunks, depth first, and a prefix is pruned
-    once its completion bound (partial sums plus the suffix of
-    ``minagg``, maximized over scenarios) reaches the running best plus
-    ``_PRUNE_MARGIN``; the best moves only on strict improvement.  The
-    bound is also held against the value of the tuple taking, per leaf,
-    the candidate with the smallest worst scenario value: that prunes
-    from the first chunk on and keeps every tuple at or below the
-    optimum, so the first minimal tuple is still found.
+    once its completion bound (partial sums plus the suffix of the
+    per-(scenario, leaf) minima over candidates, maximized over
+    scenarios) reaches the running best plus ``_PRUNE_MARGIN``; the best
+    moves only on strict improvement.  The bound is also held against the
+    value of the tuple taking, per leaf, the candidate with the smallest
+    worst scenario value: that prunes from the first chunk on and keeps
+    every tuple at or below the optimum, so the first minimal tuple is
+    still found.
     """
     n_scen, n_leaves, n_pool = agg.shape
     no_tuple = np.full(n_leaves, -1, np.int64)
@@ -252,6 +253,7 @@ def assign_minmax(agg, minagg, cutoff):
         return val[i], np.array(np.unravel_index(i, (n_pool,) * n_leaves),
                                 dtype=np.int64)
 
+    minagg = agg.min(axis=2)
     suf = np.zeros((n_leaves + 1, n_scen, 1))
     for k in range(n_leaves - 1, -1, -1):
         suf[k, :, 0] = suf[k + 1, :, 0] + minagg[:, k]
@@ -603,20 +605,22 @@ def scan_structures_fixed(bits, leaf_vals, depth, codes, best_in, lb):
     return scan_structures(bits, depth, codes, best_in, lb, 0, objective)[:3]
 
 
-def assign_reach(values, reach, minval, last_reach):
+def assign_reach(values, reach):
     """The leaf tuple and value of :func:`_assign_reach`, bitwise.
 
-    A grid of tuples that fits in one block (``_BLOCK_ELEMS``) is
-    evaluated in one NumPy broadcast: each sample's running maximum over
-    the leaves it reaches is extended leaf by leaf, the maxima are summed
-    in sample order from 0.0, and the first argmin is decoded with leaf 0
-    slowest.  Larger grids run the branch and
-    bound.
+    ``values`` and ``reach`` are those of :func:`_assign_reach`.  A grid
+    of tuples that fits in one block (``_BLOCK_ELEMS``) is evaluated in
+    one NumPy broadcast: each sample's running maximum over the leaves it
+    reaches is extended leaf by leaf, the maxima are summed in sample
+    order from 0.0, and the first argmin is decoded with leaf 0 slowest.
+    Larger grids run the branch and bound on the bound inputs it needs.
     """
     n_samples, n_pool = values.shape
     n_leaves = reach.shape[1]
     if n_pool ** n_leaves * n_samples > _BLOCK_ELEMS:
-        return _assign_reach(values, reach, minval, last_reach)
+        last_reach = n_leaves - 1 - np.argmax(reach[:, ::-1], axis=1)
+        return _assign_reach(values, reach, values.min(axis=1),
+                             last_reach.astype(np.int64))
     cur = np.full((n_samples, 1), -np.inf)
     for k in range(n_leaves):
         hit = np.where(reach[:, k, None], values, -np.inf)

@@ -70,18 +70,25 @@ class Dataset:
 
 
 def dataset_to_json(dataset):
-    return json.dumps({
-        "n_items": dataset.n_items,
-        "samples": dataset.costs.tolist(),
-    })
+    return json.dumps(_dataset_dict(dataset))
 
 
 def dataset_from_json(text):
-    raw = json.loads(text)
+    return _dataset_from_dict(json.loads(text))
+
+
+def _dataset_dict(dataset):
+    out = {"n_items": dataset.n_items, "samples": dataset.costs.tolist()}
+    if dataset.labels is not None:
+        out["labels"] = dataset.labels.tolist()
+    return out
+
+
+def _dataset_from_dict(raw):
     costs = np.asarray(raw["samples"], dtype=np.float64)
     if costs.ndim != 2 or costs.shape[1] != raw["n_items"]:
         raise ValueError("sample rows do not match n_items")
-    return Dataset(costs)
+    return Dataset(costs, labels=raw.get("labels"))
 
 
 # ---------------------------------------------------------------------------

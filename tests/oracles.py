@@ -149,7 +149,7 @@ def adversary_global(tree, dataset, gamma, eps):
 BRUTE_FORCE_CAP = 10 ** 7
 
 
-def brute_force_global(tree, dataset, gamma, eps=1e-3, cap=BRUTE_FORCE_CAP):
+def brute_force_global(tree, dataset, gamma, cap=BRUTE_FORCE_CAP):
     """Exhaustive reference for ``robust_trees.solve_global``.
 
     Walks every feasible assignment (each sample to any leaf with effort
@@ -162,7 +162,7 @@ def brute_force_global(tree, dataset, gamma, eps=1e-3, cap=BRUTE_FORCE_CAP):
 
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    eff = perturbation_cost(tree, dataset, eps)
+    eff = perturbation_cost(tree, dataset)
     values = leaf_values(dataset, tree)
     options = []
     total = 1
@@ -199,7 +199,7 @@ def brute_force_global(tree, dataset, gamma, eps=1e-3, cap=BRUTE_FORCE_CAP):
     return AdversaryResult(
         objective=float(values[rows, best].sum()),
         assignment=best,
-        xi=reconstruct_perturbation(tree, dataset, best, eps),
+        xi=reconstruct_perturbation(tree, dataset, best),
         effort=float(eff.rho[rows, best].sum()),
     )
 
@@ -421,15 +421,14 @@ def scan_structures_fixed(bits, leaf_vals, depth, start, stop, best_in, lb):
     return best, improved, best_choice
 
 
-def post_process_loop(tree, dataset, budget, pis, eps=1e-3,
-                      input_objective=None):
+def post_process_loop(tree, dataset, budget, pis, input_objective=None):
     """Threshold refinement one tree at a time, the reference for the
     batched ``post_process``: every combination through ``robust_value``,
     first strict minimum, input tree on ties."""
     from robust_trees import robust_value
 
     if tree.depth == 0:
-        robust_value(tree, dataset, budget, eps)
+        robust_value(tree, dataset, budget)
         return tree
     options = []
     for q in range(tree.n_internal):
@@ -447,7 +446,7 @@ def post_process_loop(tree, dataset, budget, pis, eps=1e-3,
     original_val = None
     for combo in itertools.product(*options):
         candidate = tree.with_thresholds(np.asarray(combo))
-        val = robust_value(candidate, dataset, budget, eps)
+        val = robust_value(candidate, dataset, budget)
         if combo == original:
             original_val = val
         if val < best_val:
@@ -457,20 +456,20 @@ def post_process_loop(tree, dataset, budget, pis, eps=1e-3,
     if ref is None:
         ref = original_val
     if ref is None:
-        ref = robust_value(tree, dataset, budget, eps)
+        ref = robust_value(tree, dataset, budget)
     if best_val < ref - 1e-9:
         return tree.with_thresholds(np.asarray(best_combo))
     return tree
 
 
-def solve_rows_search(tree, thresholds, dataset, kind, gamma, eps):
+def solve_rows_search(tree, thresholds, dataset, kind, gamma):
     """``adversary._solve`` with the shared-budget search run on every row
     that has an affordable upgrade (``_upgrade_lists`` then
     ``_shared_upgrades``).  Returns (objective, assignment, xi, effort)
     with a leading row axis."""
     from robust_trees import adversary, assignment_objective, leaf_values
 
-    boxes, nominal, rho = adversary._efforts(tree, thresholds, dataset, eps)
+    boxes, nominal, rho = adversary._efforts(tree, thresholds, dataset)
     values = leaf_values(dataset, tree)
     cols = np.arange(dataset.n_samples)
     base = values[cols, nominal]

@@ -23,7 +23,6 @@ from robust_trees import (
     UncertaintyBudget,
     build_threshold_catalog,
     compute_budget,
-    evaluate_robust,
     exp_correlation,
     exp_relative_tables,
     generate_instance,
@@ -190,8 +189,8 @@ def test_criterion_6_heuristic_dominance_and_monotonicity(sg_pool):
             seen.add(inst.seed)
             grid = [0.0, 0.5, 1.0, 2.0, 4.0]
             for kind in ("local", "global"):
-                values = [evaluate_robust(rep.tree, ds,
-                                          UncertaintyBudget(kind, g))
+                values = [robust_value(rep.tree, ds,
+                                       UncertaintyBudget(kind, g))
                           for g in grid]
                 assert values == sorted(values)
                 assert values[0] == nominal_objective(rep.tree, ds)
@@ -235,9 +234,9 @@ def test_criterion_9_post_processing_is_safe(monkeypatch):
         calls = []
         real = adversary.worst_cases
 
-        def wrapper(tree, thresholds, dataset, budget, eps=1e-3):
+        def wrapper(tree, thresholds, dataset, budget):
             calls.append(len(thresholds))
-            return real(tree, thresholds, dataset, budget, eps)
+            return real(tree, thresholds, dataset, budget)
 
         monkeypatch.setattr(adversary, "worst_cases", wrapper)
         for i in range(50):

@@ -307,7 +307,7 @@ def _assert_batch_matches(tree, rows, dataset, budget):
     """Each batched value is bitwise the one-tree worst case of its row,
     and each batched effort row bitwise the reference effort matrix."""
     got = worst_cases(tree, rows, dataset, budget)
-    _, _, rho = adversary._efforts(tree, rows, dataset, EPSILON)
+    _, _, rho = adversary._efforts(tree, rows, dataset)
     assert got.shape == rho.shape[:1] == (len(rows),)
     for r, row in enumerate(rows):
         one = tree.with_thresholds(row)
@@ -365,7 +365,7 @@ def test_shifts_match_the_add_at_scatter(case, data):
     the shifts are bitwise those of adding every slot with ``np.add.at``.
     Few items on depth 1-3 paths make repeated items common."""
     dataset, tree, rows = case
-    boxes = adversary._boxes(tree, rows, EPSILON)
+    boxes = adversary._boxes(tree, rows)
     empty = (boxes.lo > boxes.hi).any(axis=2)
     assignment = data.draw(hnp.arrays(
         np.int64, (len(rows), dataset.n_samples),
@@ -414,12 +414,11 @@ def test_no_search_rows_match_the_search(case, kind, gamma, edge, row):
     dataset, tree, rows = case
     if edge is not None:
         # under an ample budget every sample takes its top upgrade
-        spent = oracles.solve_rows_search(tree, rows, dataset, "global", 1e6,
-                                          EPSILON)[3][row % len(rows)]
+        spent = oracles.solve_rows_search(tree, rows, dataset, "global",
+                                          1e6)[3][row % len(rows)]
         gamma = max(0.0, spent + edge * adversary._FIT_MARGIN * (1.0 + spent))
-    got = adversary._solve(tree, rows, dataset, kind, gamma, EPSILON)
-    ref = oracles.solve_rows_search(tree, rows, dataset, kind, gamma,
-                                    EPSILON)
+    got = adversary._solve(tree, rows, dataset, kind, gamma)
+    ref = oracles.solve_rows_search(tree, rows, dataset, kind, gamma)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

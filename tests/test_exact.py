@@ -415,7 +415,7 @@ class TestScenarioGeneration:
                                       monkeypatch):
         xi = np.full((5, 4), 0.25)
 
-        def stuck_adversary(tree, dataset, budget, eps):
+        def stuck_adversary(tree, dataset, budget):
             return AdversaryResult(objective=1e9,
                                    assignment=np.zeros(5, dtype=np.int64),
                                    xi=xi, effort=5.0)
@@ -469,9 +469,9 @@ class TestPostProcess:
         rows = []
         real = adversary.worst_cases
 
-        def wrapper(tree, thresholds, dataset, budget, eps=1e-3):
+        def wrapper(tree, thresholds, dataset, budget):
             rows.append(len(thresholds))
-            return real(tree, thresholds, dataset, budget, eps)
+            return real(tree, thresholds, dataset, budget)
 
         monkeypatch.setattr(adversary, "worst_cases", wrapper)
         return rows
@@ -517,6 +517,16 @@ class TestPostProcess:
         # the only best row at this budget; the first row (8.2) is worse.
         budget = UncertaintyBudget.local(3.5)
         assert post_process(depth1_tree, demo_dataset, budget) is depth1_tree
+
+    @pytest.mark.parametrize("pi", [0.0, 1.0, 1.5, -0.1])
+    def test_rejects_weights_outside_unit_interval(self, demo_dataset,
+                                                   depth1_tree, pi):
+        # A weight of 0 or 1 puts a threshold on an observed value, which
+        # can change the nominal routing; the grid must stay inside.
+        budget = UncertaintyBudget.local(1.0)
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            post_process(depth1_tree, demo_dataset, budget, pis=(0.5, pi))
+        post_process(depth1_tree, demo_dataset, budget, pis=PI_GRID)
 
     def test_depth_zero_single_evaluation(self, demo_dataset, monkeypatch):
         tree = DecisionTree(0, [], [], SOLUTION_A[None, :])

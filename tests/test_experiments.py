@@ -197,6 +197,19 @@ class TestCli:
         assert code == cli.EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["SG", "Htree", "H1"])
+    def test_instance_of_the_wrong_width_is_error(self, tmp_path, capsys,
+                                                  method):
+        inst = self._generate(tmp_path)
+        raw = json.loads(inst.read_text())
+        for part in ("train", "test"):
+            raw[part]["samples"] = [row[:5] for row in raw[part]["samples"]]
+        inst.write_text(json.dumps(raw))
+        code = cli.main(["solve", "--instance", str(inst), "--method",
+                         method, "--depth", "1", "--time-limit", "5"])
+        assert code == cli.EXIT_ERROR
+        assert "sample rows do not match n_items" in capsys.readouterr().err
+
     @pytest.mark.parametrize("budget", [["--gamma", "1"],
                                         ["--lambda", "0.05"]],
                              ids=["gamma", "lambda"])

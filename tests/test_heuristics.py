@@ -49,6 +49,8 @@ class TestHeuristicConfig:
         {"depth": -1},
         {"time_limit": 0.0},
         {"max_rounds": 0},
+        {"max_rounds": 1.5},
+        {"max_rounds": True},
         {"time_limit": float("inf")},
     ])
     def test_validation(self, kwargs):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,23 @@ class TestGenerateInstance:
         assert np.array_equal(back.train.costs, inst.train.costs)
         assert np.array_equal(back.train.labels, inst.train.labels)
         assert np.array_equal(back.test.costs, inst.test.costs)
+
+    @pytest.mark.parametrize("part, n_items", [
+        ("train", 12), ("test", 12), ("train", 5), ("test", 5),
+        ("basis_scenarios", None)])
+    def test_rows_of_the_wrong_width_fail_at_load(self, part, n_items):
+        """Rows cut to 5 of a 3-grid's 12 items: against the stored
+        ``n_items``, or, with ``n_items`` cut too, against the grid."""
+        inst = generate_instance(InstanceSpec(grid_side=3, n_train=4,
+                                              n_test=6, seed=11))
+        raw = json.loads(instance_to_json(inst))
+        if part == "basis_scenarios":
+            raw[part] = [scen[:5] for scen in raw[part]]
+        else:
+            raw[part]["n_items"] = n_items
+            raw[part]["samples"] = [row[:5] for row in raw[part]["samples"]]
+        with pytest.raises(ValueError, match="n_items|grid side 3"):
+            instance_from_json(json.dumps(raw))
 
 
 class TestBudgets:

@@ -12,7 +12,16 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from robust_trees import GridGraph, kernels, optimize_leaves_local
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PY = ROOT / "perfbench" / "layers.py"
+BENCH_PY = ROOT / "benchmarks" / "bench_kernels.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_reports_sane_values(demo_dataset, demo_space, depth1_tree):
@@ -20,9 +29,7 @@ def test_backend_reports_sane_values(demo_dataset, demo_space, depth1_tree):
     stands, finds every function it wraps, the benchmark worker's backend
     check holds, and the grid path and leaf fill kernels are counted
     under their public names."""
-    spec = importlib.util.spec_from_file_location("layers", LAYERS_PY)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("layers", LAYERS_PY)
     for span in layers.SPANS:
         module, _, name = span.partition(".")
         obj = importlib.import_module(f"robust_trees.{module}")
@@ -36,6 +43,15 @@ def test_backend_reports_sane_values(demo_dataset, demo_space, depth1_tree):
                               demo_space.enumerate())
     assert tracer.calls["kernels.grid_min_path"] == 1
     assert tracer.calls["kernels.assign_reach"] == 1
+
+
+def test_bench_kernels_suite_runs():
+    """``benchmarks/bench_kernels.py`` calls private names of the package;
+    one pass of its whole suite keeps the script in step with them."""
+    bench = _load("bench_kernels", BENCH_PY)
+    results = bench.run_suite(1, None)
+    assert list(results) == [name for name, _ in bench.BENCHMARKS]
+    assert all(seconds > 0 for seconds in results.values())
 
 
 class TestJitMatchesPython:
@@ -88,7 +104,7 @@ def test_assign_minmax_matches_loop(monkeypatch, n_leaves):
                     for block in (kernels._BLOCK_ELEMS, 400, 50, 1):
                         monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block)
                         _assert_same_search(
-                            kernels.assign_minmax(agg, minagg, cutoff), ref)
+                            kernels.assign_minmax(agg, cutoff), ref)
                     monkeypatch.undo()
 
 
@@ -102,7 +118,7 @@ def test_assign_minmax_memory_stays_within_blocks():
     ref = oracles.assign_minmax_loop(agg, minagg, np.inf)
     tracemalloc.start()
     try:
-        got = kernels.assign_minmax(agg, minagg, np.inf)
+        got = kernels.assign_minmax(agg, np.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -142,7 +158,8 @@ def test_assign_reach_matches_search(monkeypatch, n_leaves):
                     *args[:2]))
                 for block in (n_pool ** n_leaves * n_samples, 0):
                     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block)
-                    _assert_same_search(kernels.assign_reach(*args), ref)
+                    _assert_same_search(kernels.assign_reach(*args[:2]),
+                                        ref)
                 monkeypatch.undo()
 
 
@@ -156,7 +173,7 @@ def test_assign_reach_memory_stays_within_blocks(n_pool):
     ref = kernels._assign_reach(*args)
     tracemalloc.start()
     try:
-        got = kernels.assign_reach(*args)
+        got = kernels.assign_reach(*args[:2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

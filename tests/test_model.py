@@ -13,9 +13,9 @@ from robust_trees import (
     build_threshold_catalog,
     dataset_from_json,
     dataset_to_json,
-    evaluate_robust,
     leaf_values,
     nominal_objective,
+    robust_value,
     tree_from_json,
     tree_to_json,
 )
@@ -171,8 +171,8 @@ class TestObjectives:
 
     def test_evaluate_robust_zero_budget_is_nominal(self, demo_dataset,
                                                     depth2_tree):
-        value = evaluate_robust(depth2_tree, demo_dataset,
-                                UncertaintyBudget.local(0.0))
+        value = robust_value(depth2_tree, demo_dataset,
+                             UncertaintyBudget.local(0.0))
         assert value == nominal_objective(depth2_tree, demo_dataset)
 
     def test_evaluate_robust_checks_feasibility(self, demo_dataset,
@@ -180,5 +180,5 @@ class TestObjectives:
         bad = depth1_tree.with_leaves(np.array([[1, 0, 1, 0], [0, 0, 1, 1]],
                                                dtype=np.int8))
         with pytest.raises(ValueError, match="feasible"):
-            evaluate_robust(bad, demo_dataset, UncertaintyBudget.local(1.0),
-                            space=demo_space)
+            robust_value(bad, demo_dataset, UncertaintyBudget.local(1.0),
+                         space=demo_space)
