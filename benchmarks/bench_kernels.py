@@ -28,6 +28,7 @@ from robust_trees import (
     build_threshold_catalog,
     compute_budget,
     generate_instance,
+    optimize_leaves_global,
     optimize_leaves_local,
     per_sample_optima,
     perturbation_cost,
@@ -85,6 +86,21 @@ def bench_leaf_assignment():
     tree = _tree_for(ds, 2, 3)
     for gamma in np.linspace(0.0, 3.0, 30):
         optimize_leaves_local(tree, ds, float(gamma), pool)
+
+
+def bench_leaf_fill_global():
+    # the shared-budget leaf fill: one effort pass per call, then cut
+    # generation over leaf tuples; 8 depth-2 structures of one 5-sample
+    # instance, 12 budgets each
+    inst = generate_instance(InstanceSpec(grid_side=3, n_train=5, n_test=1,
+                                          seed=8))
+    ds, space = inst.train, inst.space
+    pool = space.enumerate()
+    for seed in range(8):
+        tree = _tree_for(ds, 2, seed)
+        for lam in np.linspace(0.0, 0.2, 12):
+            gamma = compute_budget(ds, float(lam), 2, "global").gamma
+            optimize_leaves_global(tree, ds, gamma, pool)
 
 
 def _fills(grid, kind, lam):
@@ -233,6 +249,7 @@ BENCHMARKS = [
     ("perturbation_cost", bench_perturbation_cost),
     ("solve_global", bench_solve_global),
     ("leaf_assignment", bench_leaf_assignment),
+    ("leaf_fill_global", bench_leaf_fill_global),
     ("leaf_assignment_local_grid3", bench_leaf_assignment_local_grid3),
     ("leaf_assignment_shared", bench_leaf_assignment_shared),
     ("leaf_assignment_shared_grid4", bench_leaf_assignment_shared_grid4),

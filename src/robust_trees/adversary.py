@@ -13,19 +13,24 @@ intersect; an empty intersection makes the leaf unreachable (effort
 A per-sample budget (``solve_local``) decomposes into per-sample
 argmaxes.  A shared budget (``solve_global``) is a multiple-choice
 knapsack solved exactly by branch and bound (see ``kernels.mckp_search``).
-Both run in one pass over a batch of threshold rows for one tree
-structure (items, leaves and depth fixed): ``worst_cases`` evaluates every
-row at once, building the boxes, the nominal routing and the effort
-matrix (``kernels.effort_matrix``) for the whole batch and the leaf values
-once.  The per-sample adversary is vectorized over rows.  A shared budget
-needs no search on a row where all samples' best affordable upgrades fit
-in gamma together: each sample reaches its own bound, which no assignment
-beats.  The other rows run the search on their slice.  Every row's
-witness shift is rebuilt and replayed through its tree in one pass.
-``worst_case`` (the package's one entry point for a budget: cut
-generation and ``exact.robust_value`` go through it), ``solve_local``,
-``solve_global``, ``perturbation_cost`` and ``reconstruct_perturbation``
-are the one-row case of the same code.
+
+Every worst case runs one adversary path in two steps.  The first,
+:func:`efforts`, depends only on the tree structure (items, depth) and a
+batch of threshold rows: it builds the boxes, the nominal routing and the
+effort matrix (``kernels.effort_matrix``) for the whole batch.  The
+second, :func:`worst_case_against`, runs the per-sample or shared-budget
+worst case against those efforts and a leaf-value matrix, so a caller
+that varies only the leaves (the heuristics' leaf fills, the budgets of
+``experiments.exp_correlation``) computes the efforts once.  The
+per-sample adversary is vectorized over rows.  A shared budget needs no
+search on a row where all samples' best affordable upgrades fit in gamma
+together: each sample reaches its own bound, which no assignment beats.
+The other rows run the search on their slice.  Every row's witness shift
+is rebuilt and replayed through its tree in one pass.  ``worst_cases``
+evaluates a batch of threshold rows; ``worst_case`` (cut generation and
+``exact.robust_value`` go through it), ``solve_local``, ``solve_global``,
+``perturbation_cost`` and ``reconstruct_perturbation`` are the one-row
+case of the same code.
 """
 
 from __future__ import annotations
@@ -157,16 +162,34 @@ def _nominal(costs, boxes):
                     layout.right).argmax(axis=2)
 
 
+class Efforts(NamedTuple):
+    """The effort pass of one tree structure under a batch of threshold rows.
+
+    ``nominal[r, j]`` is the leaf sample j reaches unshifted under row r and
+    ``rho[r, j, k]`` the cheapest shift that moves it into leaf k (+inf
+    where unreachable).  None of it depends on the leaves.
+    """
+
+    boxes: _Boxes
+    nominal: np.ndarray
+    rho: np.ndarray
+
+
 def _efforts(tree, thresholds, dataset):
-    """Boxes, nominal leaves (rows, samples) and efforts (rows, samples,
-    leaves) of ``tree`` under each threshold row."""
+    """:class:`Efforts` of ``tree``'s structure under each threshold row."""
     if dataset.n_items != tree.n_items:
         raise ValueError("dataset and tree disagree on the number of items")
     boxes = _boxes(tree, thresholds)
     nominal = _nominal(dataset.costs, boxes)
     rho = kernels.effort_matrix(dataset.costs, boxes.layout.item, boxes.lo,
                                 boxes.hi, nominal)
-    return boxes, nominal, rho
+    return Efforts(boxes, nominal, rho)
+
+
+def efforts(tree, dataset):
+    """:class:`Efforts` of ``tree`` under its own thresholds (one row): the
+    first step of every worst case, shared by all leaves of the structure."""
+    return _efforts(tree, tree.thresholds[None], dataset)
 
 
 def perturbation_cost(tree, dataset):
@@ -175,8 +198,8 @@ def perturbation_cost(tree, dataset):
     The zero shift reaches the nominal leaf even when an observation lies
     less than ``EPSILON`` above a threshold, outside that leaf's box.
     """
-    _, nominal, rho = _efforts(tree, tree.thresholds[None], dataset)
-    return PerturbationEffort(rho[0], nominal[0])
+    eff = efforts(tree, dataset)
+    return PerturbationEffort(eff.rho[0], eff.nominal[0])
 
 
 def _shifts(costs, boxes, empty, assignment):
@@ -198,8 +221,7 @@ def _shifts(costs, boxes, empty, assignment):
     cost = costs[cols[:, None], item]
     fits = ~empty[rows, assignment][:, :, None]
     above = (cost > hi) & fits
-    shift = np.where((cost < lo) & fits, lo - cost,
-                     np.where(above, hi - cost, 0.0))
+    shift = np.where(fits, np.minimum(np.maximum(cost, lo), hi) - cost, 0.0)
     for _ in range(64):
         over = above & (cost + shift > hi)
         if not over.any():
@@ -353,18 +375,22 @@ def _shared_upgrades(per_sample, gamma, assignment):
             assignment[j] = cand_leaf[choice[t]]
 
 
-def _solve(tree, thresholds, dataset, kind, gamma):
-    """Worst cases of ``tree`` under each row of ``thresholds``.
+def _worst(eff, dataset, values, kind, gamma):
+    """Worst cases against the efforts ``eff`` and leaf values ``values``.
 
-    Returns (objective, assignment, xi, effort) with a leading row axis.
-    ``kind`` "local" is the per-sample adversary of :func:`solve_local`,
-    vectorized over rows; "global" the shared budget of :func:`solve_global`,
-    searched only on the rows whose top upgrades do not all fit.
-    Objectives are recomputed canonically from the chosen assignment.
+    ``values[j, k]`` is sample j's true cost at leaf k.  Returns
+    (objective, assignment, xi, effort) with the leading row axis of
+    ``eff``.  ``kind`` "local" is the per-sample adversary of
+    :func:`solve_local`, vectorized over rows; "global" the shared budget
+    of :func:`solve_global`, searched only on the rows whose top upgrades
+    do not all fit.  Objectives are recomputed canonically from the chosen
+    assignment.
     """
     check_gamma(gamma)
-    boxes, nominal, rho = _efforts(tree, thresholds, dataset)
-    values = leaf_values(dataset, tree)
+    boxes, nominal, rho = eff
+    if values.shape != rho.shape[1:]:
+        raise ValueError("leaf values must be (samples, leaves) of the "
+                         "efforts")
     cols = np.arange(dataset.n_samples)
     base = values[cols, nominal]
     if kind == "local":
@@ -373,7 +399,8 @@ def _solve(tree, thresholds, dataset, kind, gamma):
         assignment = np.where(base == best, nominal, masked.argmax(axis=2))
     else:
         gain = values - base[:, :, None]
-        afford = (rho <= gamma) & np.isfinite(rho) & (gain > 0)
+        # gamma is finite, so rho <= gamma leaves out the unreachable leaves
+        afford = (rho <= gamma) & (gain > 0)
         # Top upgrades (largest gain, least effort, lowest leaf: the last
         # entry of _upgrade_lists) that all fit in gamma are the optimum.
         top_dv = np.where(afford, gain, -np.inf).max(axis=2, keepdims=True)
@@ -392,11 +419,28 @@ def _solve(tree, thresholds, dataset, kind, gamma):
     return objective, assignment, xi, effort
 
 
-def _one(tree, dataset, kind, gamma):
-    objective, assignment, xi, effort = _solve(
-        tree, tree.thresholds[None], dataset, kind, gamma)
+def _solve(tree, thresholds, dataset, kind, gamma):
+    """Worst cases of ``tree`` under each row of ``thresholds``: the effort
+    pass, then :func:`_worst` with the tree's leaf values."""
+    return _worst(_efforts(tree, thresholds, dataset), dataset,
+                  leaf_values(dataset, tree), kind, gamma)
+
+
+def worst_case_against(eff, dataset, values, kind, gamma):
+    """Worst case of a one-row :func:`efforts` pass with the leaf values
+    ``values`` (samples, leaves), under a budget ``gamma`` of ``kind``
+    "local" or "global": the second step of every worst case.  Equal,
+    bitwise, to :func:`worst_case` of the tree whose leaves give
+    ``values``."""
+    objective, assignment, xi, effort = _worst(eff, dataset, values, kind,
+                                               gamma)
     return AdversaryResult(float(objective[0]), assignment[0], xi[0],
                            float(effort[0]))
+
+
+def _one(tree, dataset, kind, gamma):
+    return worst_case_against(efforts(tree, dataset), dataset,
+                              leaf_values(dataset, tree), kind, gamma)
 
 
 def solve_local(tree, dataset, gamma):

@@ -25,12 +25,14 @@ which the per-routing memo keeps beside exact results and, as that best
 only falls, never recomputes.
 
 ``_cut_generation`` is the package's one cut-generation loop: it
-alternates a master with the exact adversary (``adversary.worst_case``),
-appending each worst-case shift as a new scenario until the two values
-meet within ``OBJECTIVE_TOL``.  ``scenario_generation`` runs it with
-``solve_master``, which certifies optimality over the catalog-split
-family; the shared-budget leaf optimizer of the heuristics runs it with a
-leaf-assignment master.  ``robust_value`` is the worst-case objective of
+alternates a master with an exact adversary, both passed in, appending
+each worst-case shift as a new scenario until the two values meet within
+``OBJECTIVE_TOL``.  ``scenario_generation`` runs it with ``solve_master``,
+which certifies optimality over the catalog-split family, and
+``adversary.worst_case``; the shared-budget leaf optimizer of the
+heuristics runs it with a leaf-assignment master and the same adversary
+split in its two steps, the structure's efforts computed once for every
+leaf tuple it tries.  ``robust_value`` is the worst-case objective of
 one tree, its leaves first checked against a space when one is given.
 ``post_process`` slides thresholds inside their enclosing observed-value
 intervals and keeps the best tree found; it evaluates the whole grid of
@@ -50,7 +52,7 @@ import numpy as np
 from . import adversary, kernels
 from .errors import CapExceeded, ConvergenceStall, NoSplitAvailable
 from .model import (OBJECTIVE_TOL, DecisionTree, assignment_objective,
-                    build_threshold_catalog, leaf_values)
+                    build_threshold_catalog, check_depth, leaf_values)
 
 PI_GRID = tuple(round(0.1 * t, 1) for t in range(1, 10))
 """Interpolation weights used when refining thresholds."""
@@ -162,8 +164,9 @@ def _assign_leaves(values, leafm, n_leaves, cutoff):
     ``values[j, p]`` is sample j's cost under pool solution p and
     ``leafm[s, j]`` the leaf sample j reaches under scenario s.  The
     per-(scenario, leaf) sums add the samples in order from 0.0, as the
-    structure scans do: one masked add per sample, whose 0.0 elsewhere
-    leaves every sum bitwise as it is.  When every scenario routes alike
+    structure scans do: a running sum (``np.add.accumulate``) over the
+    samples' masked values, whose 0.0 where a sample is elsewhere leaves
+    every sum bitwise as it is.  When every scenario routes alike
     the problem splits per leaf (each leaf takes the argmin of its summed
     values); otherwise ``kernels.assign_minmax``, a blocked NumPy search,
     finds the first minimal leaf tuple.  Only values strictly below
@@ -172,10 +175,10 @@ def _assign_leaves(values, leafm, n_leaves, cutoff):
     """
     alike = (leafm == leafm[0]).all()
     routes = leafm[:1] if alike else leafm
-    hit = (routes[:, None] == np.arange(n_leaves)[:, None])[..., None]
-    agg = np.zeros((routes.shape[0], n_leaves, values.shape[1]))
-    for j in range(values.shape[0]):
-        agg += np.where(hit[:, :, j], values[j], 0.0)
+    hit = (routes.T[:, :, None] == np.arange(n_leaves))[..., None]
+    masked = np.where(hit, values[:, None, None, :], 0.0)
+    masked[0] += 0.0  # the sums start from 0.0, which turns -0.0 into 0.0
+    agg = np.add.accumulate(masked, axis=0)[-1]
     if alike:
         tup = agg[0].argmin(axis=1)
         obj = 0.0
@@ -211,8 +214,7 @@ def solve_master(dataset, scenarios, space, depth, catalog=None, pool=None,
     returned with ``optimal=False``, the incumbent may differ from the
     one a scan over every structure would have reached by then.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    check_depth(depth)
     start = time.perf_counter()
     costs = dataset.costs
 
@@ -316,14 +318,16 @@ def robust_value(tree, dataset, budget, space=None):
     return adversary.worst_case(tree, dataset, budget).objective
 
 
-def _cut_generation(master, dataset, budget, time_limit):
+def _cut_generation(master, worst_case, dataset, time_limit):
     """Alternate ``master`` with the exact adversary until they meet.
 
     ``master(scenarios, remaining)`` returns ``(tree, value, optimal)``:
     its best tree against the :class:`ScenarioSet` so far, the tree's value
     there, and whether that value is exact (``remaining`` is the time left,
-    or None).  Every master tree is handed to the adversary, so the report's
-    ``objective`` is always the exact worst case of its tree.  The loop
+    or None).  ``worst_case(tree)`` is the exact adversary of the budget,
+    returning an ``adversary.AdversaryResult`` with its witness.  Every
+    master tree is handed to it, so the report's ``objective`` is always
+    the exact worst case of its tree.  The loop
     stops when the values meet within ``OBJECTIVE_TOL`` (certified), when
     the master was not exact, or past ``time_limit``; a worst case already
     among the scenarios (within ``_DUP_TOL`` entrywise) raises
@@ -337,7 +341,7 @@ def _cut_generation(master, dataset, budget, time_limit):
                      else time_limit - (time.perf_counter() - start))
         tree, value, optimal = master(scen, remaining)
         masters.append(value)
-        adv = adversary.worst_case(tree, dataset, budget)
+        adv = worst_case(tree)
         done = optimal and adv.objective - value <= OBJECTIVE_TOL
         late = (time_limit is not None
                 and time.perf_counter() - start > time_limit)
@@ -373,7 +377,9 @@ def scenario_generation(dataset, budget, space, depth, catalog=None,
                          time_limit=remaining)
         return m.tree, m.master_objective, m.optimal
 
-    return _cut_generation(master, dataset, budget, time_limit)
+    return _cut_generation(
+        master, partial(adversary.worst_case, dataset=dataset, budget=budget),
+        dataset, time_limit)
 
 
 def post_process(tree, dataset, budget, space=None, pis=PI_GRID,

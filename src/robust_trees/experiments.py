@@ -23,7 +23,7 @@ from .heuristics import (HeuristicConfig, h1, h_tree, optimize_leaves_local,
                          sample_random_structure)
 from .instances import InstanceSpec, compute_budget, generate_instance
 from .model import (DecisionTree, UncertaintyBudget,
-                    build_threshold_catalog, nominal_objective)
+                    build_threshold_catalog, leaf_values, nominal_objective)
 
 
 def pearson_r(x, y):
@@ -92,26 +92,31 @@ def _corr_instance(args):
     pool = space.enumerate()
     rng = np.random.default_rng(iseed)
     stub = np.repeat(pool[:1], 2 ** depth, axis=0)
-    trees = []
+    # one effort pass and one leaf-value matrix per tree, for every budget
+    passes = []
     for _ in range(n_trees):
         items, thetas = sample_random_structure(catalog, depth, rng)
         base = DecisionTree(depth, items, thetas, stub)
         tree, _ = optimize_leaves_local(base, train, 0.0, pool)
-        trees.append(tree)
+        passes.append((adversary.efforts(tree, train),
+                      leaf_values(train, tree)))
+
+    def worst(kind, gamma):
+        return [adversary.worst_case_against(eff, train, values, kind,
+                                             gamma).objective
+                for eff, values in passes]
+
     rows = []
     for lam in lambdas:
-        gamma_loc = compute_budget(train, lam, depth, "local").gamma
-        local_vals = [adversary.solve_local(t, train, gamma_loc).objective
-                      for t in trees]
+        local_vals = worst("local",
+                           compute_budget(train, lam, depth, "local").gamma)
         for coupling in couplings:
-            gamma_glo = compute_budget(train, lam, depth, "global",
-                                       coupling).gamma
-            for k, tree in enumerate(trees):
-                gv = adversary.solve_global(tree, train, gamma_glo).objective
+            global_vals = worst("global", compute_budget(
+                train, lam, depth, "global", coupling).gamma)
+            for k, (lv, gv) in enumerate(zip(local_vals, global_vals)):
                 rows.append({"instance_seed": iseed, "tree": k,
                              "lam": lam, "coupling": coupling,
-                             "local_value": local_vals[k],
-                             "global_value": gv})
+                             "local_value": lv, "global_value": gv})
     return rows
 
 

@@ -16,7 +16,11 @@ keeps the best round.  Leaves are filled from a pool of solutions (by
 default the whole feasible set, so ``h_tree`` and ``h_alt`` never end
 above ``h1``): per sample for a per-sample budget, and for a shared
 budget by the package's one cut-generation loop, run over leaf
-assignments instead of split structures.  ``h1`` is the no-tree
+assignments instead of split structures.  A fill changes only the
+leaves, so it computes the structure's efforts (``adversary.efforts``)
+and the pool's values once, and evaluates every leaf tuple it tries
+against them (``adversary.worst_case_against``); the shared-budget fill
+routes each scenario once, when it joins the cuts.  ``h1`` is the no-tree
 baseline: the single solution minimizing the summed training costs.  A
 constant policy routes every observation to the same leaf, so its
 worst-case objective equals its nominal objective under any budget.
@@ -34,9 +38,9 @@ from . import adversary, kernels
 from .errors import ConvergenceStall, NoSplitAvailable
 from .exact import (SolveReport, _assign_leaves, _cut_generation,
                     scenario_generation)
-from .model import (OBJECTIVE_TOL, DecisionTree, UncertaintyBudget,
-                    assignment_objective, build_threshold_catalog,
-                    check_gamma, leaf_values)
+from .model import (OBJECTIVE_TOL, DecisionTree, assignment_objective,
+                    build_threshold_catalog, check_depth, check_gamma,
+                    leaf_values, solution_values)
 
 _INNER_PASS_CAP = 1000
 
@@ -56,8 +60,7 @@ class HeuristicConfig:
     max_rounds: int | None = None
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
+        check_depth(self.depth)
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         # type(), not isinstance(): True is an int too
@@ -113,41 +116,67 @@ def sample_random_structure(catalog, depth, rng):
     return items, thetas
 
 
+def _pool_values(dataset, pool):
+    """Values (samples, pool) for the leaf searches, and for the adversary.
+
+    The searches rank leaf tuples on the BLAS product; the adversary needs
+    the bits of ``leaf_values``, which the columns of
+    ``model.solution_values`` are for any tree with pool rows as leaves.
+    The two can differ in the last bit.
+    """
+    return (np.ascontiguousarray(dataset.costs @ pool.astype(np.float64).T),
+            solution_values(dataset, pool))
+
+
 def optimize_leaves_local(tree, dataset, gamma, pool):
     """Exact best leaf assignment from ``pool`` for a fixed structure
-    under a per-sample budget.  Returns the tree and its worst case."""
+    under a per-sample budget.  Returns the tree and its worst case.
+
+    The structure's efforts give both the reach of each sample and the
+    worst case of the filled tree.
+    """
     check_gamma(gamma)
     pool = np.asarray(pool, dtype=np.int8)
-    eff = adversary.perturbation_cost(tree, dataset)
-    reach = np.ascontiguousarray(eff.rho <= gamma)
-    values = np.ascontiguousarray(
-        dataset.costs @ pool.astype(np.float64).T)
-    _, pick = kernels.assign_reach(values, reach)
-    refined = tree.with_leaves(pool[pick])
-    obj = adversary.solve_local(refined, dataset, gamma).objective
-    return refined, obj
+    eff = adversary.efforts(tree, dataset)
+    values, adv_values = _pool_values(dataset, pool)
+    _, pick = kernels.assign_reach(values,
+                                   np.ascontiguousarray(eff.rho[0] <= gamma))
+    obj = adversary.worst_case_against(eff, dataset, adv_values[:, pick],
+                                       "local", gamma).objective
+    return tree.with_leaves(pool[pick]), obj
 
 
 def optimize_leaves_global(tree, dataset, gamma, pool, time_limit=None):
     """Exact best leaf assignment for a fixed structure under a shared
     budget, via cut generation over leaf assignments.
 
-    On timeout the incumbent and its exact worst case are returned
-    without the optimality guarantee.
+    Only the leaves change from one iteration to the next, so the
+    structure's efforts and the pool's values are computed once, and each
+    scenario is routed once, when it joins the cuts (the zero scenario by
+    the effort pass).  On timeout the incumbent and its exact worst case
+    are returned without the optimality guarantee.
     """
+    check_gamma(gamma)
     pool = np.asarray(pool, dtype=np.int8)
-    values = np.ascontiguousarray(
-        dataset.costs @ pool.astype(np.float64).T)
+    eff = adversary.efforts(tree, dataset)
+    values, adv_values = _pool_values(dataset, pool)
+    routes = eff.nominal
+    pick = None
 
     def master(scenarios, remaining):
-        obs = dataset.costs + scenarios.xi
-        leafm = tree.traverse_batch(obs.reshape(-1, dataset.n_items))
-        value, pick = _assign_leaves(values, leafm.reshape(obs.shape[:2]),
-                                     tree.n_leaves, np.inf)
+        nonlocal routes, pick
+        if scenarios.n_scenarios > len(routes):
+            obs = dataset.costs + scenarios.xi[len(routes):]
+            new = tree.traverse_batch(obs.reshape(-1, dataset.n_items))
+            routes = np.concatenate([routes, new.reshape(obs.shape[:2])])
+        value, pick = _assign_leaves(values, routes, tree.n_leaves, np.inf)
         return tree.with_leaves(pool[pick]), value, True
 
-    rep = _cut_generation(master, dataset, UncertaintyBudget.global_(gamma),
-                          time_limit)
+    def worst_case(_):  # of the master's last tree, whose leaves are pick
+        return adversary.worst_case_against(eff, dataset, adv_values[:, pick],
+                                            "global", gamma)
+
+    rep = _cut_generation(master, worst_case, dataset, time_limit)
     return rep.tree, rep.objective
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _dataset_dict, _dataset_from_dict
+from .model import (Dataset, UncertaintyBudget, _dataset_dict,
+                    _dataset_from_dict, check_depth)
 from .spaces import GridGraph
 
 
@@ -35,8 +36,8 @@ class InstanceSpec:
 class Instance:
     """A grid, its cost-generating scenarios, and drawn datasets.
 
-    Every basis scenario and every sample has one entry per grid edge,
-    else ``ValueError``.
+    Every basis scenario and every sample has one entry per grid edge, and
+    every sample label names a basis scenario, else ``ValueError``.
     """
 
     grid_side: int
@@ -50,10 +51,15 @@ class Instance:
         if self.basis_scenarios.shape[1:] != (n_items, 2):
             raise ValueError(f"basis scenarios must be (scenarios, "
                              f"{n_items}, 2) for grid side {self.grid_side}")
+        n_scen = self.basis_scenarios.shape[0]
         for name, ds in (("train", self.train), ("test", self.test)):
             if ds.n_items != n_items:
                 raise ValueError(f"{name} rows have {ds.n_items} items, grid "
                                  f"side {self.grid_side} has {n_items}")
+            if ds.labels is not None and (
+                    (ds.labels < 0) | (ds.labels >= n_scen)).any():
+                raise ValueError(f"{name} labels must name one of the "
+                                 f"{n_scen} basis scenarios")
 
     @property
     def space(self):
@@ -133,10 +139,7 @@ def compute_budget(dataset, lam, depth, kind, coupling="N"):
     count; coupling "1" keeps the shared budget equal to one sample's
     amount, a much stingier adversary.
     """
-    from .model import UncertaintyBudget
-
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    check_depth(depth)
     gamma = lam * depth * max_item_range(dataset)
     if kind == "local":
         return UncertaintyBudget.local(gamma)

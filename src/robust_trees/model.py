@@ -15,6 +15,7 @@ equal results are also bit-for-bit equal floats.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,16 @@ def build_threshold_catalog(dataset):
 # Decision tree
 # ---------------------------------------------------------------------------
 
+def check_depth(depth):
+    """Raise ValueError unless ``depth`` is a nonnegative integer (a bool
+    is not a depth)."""
+    if (isinstance(depth, (bool, np.bool_))
+            or not isinstance(depth, numbers.Integral)):
+        raise ValueError(f"depth must be an int, not {depth!r}")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+
+
 @dataclass(frozen=True)
 class DecisionTree:
     """Complete binary policy tree of a fixed depth.
@@ -157,8 +168,8 @@ class DecisionTree:
     leaves: np.ndarray
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
+        check_depth(self.depth)
+        object.__setattr__(self, "depth", int(self.depth))
         q = 2 ** self.depth - 1
         items = np.asarray(self.items, dtype=np.int64).reshape(q)
         thresholds = np.asarray(self.thresholds, dtype=np.float64).reshape(q)
@@ -279,18 +290,26 @@ class UncertaintyBudget:
 # Objectives
 # ---------------------------------------------------------------------------
 
-def leaf_values(dataset, tree):
-    """(samples, leaves) matrix of true costs against each leaf solution.
+def solution_values(dataset, solutions):
+    """(samples, solutions) matrix of true costs against each solution row.
 
     Every objective this package reports is a sum over entries of this
     matrix, and methods are compared for exact float equality in the
-    large-budget regime.  einsum contracts each (sample, leaf) pair in a
-    fixed index order, so an entry depends only on the cost row and the
-    leaf vector, never on how many other leaves the tree has; a BLAS
-    matmul does not give that shape independence.
+    large-budget regime.  einsum contracts each (sample, solution) pair in
+    a fixed index order, so an entry depends only on the cost row and the
+    solution vector, never on how many other solutions there are: the
+    columns of a pool's matrix are bitwise the :func:`leaf_values` of a
+    tree whose leaves are those pool rows.  A BLAS matmul does not give
+    that shape independence.
     """
     return np.einsum("ji,ki->jk", dataset.costs,
-                     tree.leaves.astype(np.float64))
+                     np.asarray(solutions).astype(np.float64))
+
+
+def leaf_values(dataset, tree):
+    """(samples, leaves) matrix of true costs against each leaf solution
+    (:func:`solution_values` of the leaves)."""
+    return solution_values(dataset, tree.leaves)
 
 
 def assignment_objective(values, assignment):

@@ -26,6 +26,11 @@ multi-scenario structure scan with an uncut leaf search per routing, the
 reference for the cutoff ``exact.solve_master`` hands each search, and
 ``shifts_add_at`` the witness scatter by ``np.add.at`` that
 ``adversary._shifts`` replaces with a plain assignment.
+``optimize_leaves_global_loop`` is the shared-budget leaf fill that
+routes every scenario again and runs ``adversary.worst_case`` on each
+master tree, the reference for ``heuristics.optimize_leaves_global``,
+which computes the structure's efforts once and routes each scenario
+once.
 ``brute_force_global`` checks the shared-budget knapsack search alone: it
 walks every assignment over the package's own effort matrix and breaks
 ties the way the search does, so the two objectives must agree exactly.
@@ -624,3 +629,27 @@ def shifts_add_at(costs, boxes, empty, assignment):
     xi = np.zeros((assignment.shape[0],) + costs.shape)
     np.add.at(xi, (rows[:, :, None], cols[:, None], item), shift)
     return xi
+
+
+def optimize_leaves_global_loop(tree, dataset, gamma, pool, time_limit=None):
+    """``optimize_leaves_global`` with a leaf master that routes every
+    scenario on every call and the full ``adversary.worst_case`` of each
+    master tree.  Returns the tree and its worst case."""
+    from robust_trees import UncertaintyBudget, adversary
+    from robust_trees.exact import _assign_leaves, _cut_generation
+
+    pool = np.asarray(pool, dtype=np.int8)
+    values = np.ascontiguousarray(dataset.costs @ pool.astype(np.float64).T)
+    budget = UncertaintyBudget.global_(gamma)
+
+    def master(scenarios, remaining):
+        obs = dataset.costs + scenarios.xi
+        leafm = tree.traverse_batch(obs.reshape(-1, dataset.n_items))
+        value, pick = _assign_leaves(values, leafm.reshape(obs.shape[:2]),
+                                     tree.n_leaves, np.inf)
+        return tree.with_leaves(pool[pick]), value, True
+
+    rep = _cut_generation(
+        master, lambda t: adversary.worst_case(t, dataset, budget), dataset,
+        time_limit)
+    return rep.tree, rep.objective

@@ -476,3 +476,43 @@ def test_cost_scale_witness_and_monotone(seed, scale, kind, depth):
         assert np.all(spent <= budget.gamma * (1 + 1e-9))
         assert res.objective >= previous - 1e-12 * abs(previous)
         previous = res.objective
+
+
+_GAMMAS = st.one_of(st.sampled_from([0.0, 3e-4, EPSILON, 0.3, 1.0, 1e6]),
+                    st.floats(0.0, 1e6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_batch_case(max_rows=1), data=st.data(),
+       budgets=st.lists(st.tuples(st.sampled_from(["local", "global"]),
+                                  _GAMMAS), min_size=1, max_size=4))
+def test_one_effort_pass_serves_every_leaf_tuple(case, data, budgets):
+    """One ``efforts`` pass of a structure, evaluated by
+    ``worst_case_against`` for several leaf tuples and budgets, is bitwise
+    ``worst_case`` of each filled tree: objective, assignment, witness and
+    effort.  Depth 1-3 over few items gives repeated items, empty boxes
+    and thresholds within EPSILON of an observation."""
+    dataset, tree, _ = case
+    eff = adversary.efforts(tree, dataset)
+    for _ in range(data.draw(st.integers(1, 3))):
+        leaves = data.draw(hnp.arrays(np.int8, tree.leaves.shape,
+                                      elements=st.integers(0, 1)))
+        filled = tree.with_leaves(leaves)
+        values = leaf_values(dataset, filled)
+        for kind, gamma in budgets:
+            got = adversary.worst_case_against(eff, dataset, values, kind,
+                                               gamma)
+            ref = worst_case(filled, dataset, UncertaintyBudget(kind, gamma))
+            for a, b in ((got.objective, ref.objective),
+                         (got.effort, ref.effort),
+                         (got.assignment, ref.assignment), (got.xi, ref.xi)):
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_worst_case_against_rejects_mismatched_values(depth2_tree,
+                                                      demo_dataset):
+    eff = adversary.efforts(depth2_tree, demo_dataset)
+    with pytest.raises(ValueError, match="leaf values"):
+        adversary.worst_case_against(eff, demo_dataset, np.zeros((5, 2)),
+                                     "local", 1.0)

@@ -385,6 +385,23 @@ def test_negative_depth_is_rejected(demo_dataset, demo_space, solve):
         solve(demo_dataset, demo_space)
 
 
+@pytest.mark.parametrize("depth", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("solve", [
+    lambda ds, space, d: scenario_generation(ds, UncertaintyBudget.local(1.0),
+                                             space, d),
+    lambda ds, space, d: solve_master(
+        ds, ScenarioSet.zero(ds.n_samples, ds.n_items), space, d),
+    lambda ds, space, d: compute_budget(ds, 0.05, d, "local"),
+    lambda ds, space, d: DecisionTree(d, [0], [5.0],
+                                      space.enumerate()[[0, 1]]),
+    lambda ds, space, d: HeuristicConfig(depth=d, max_rounds=1),
+], ids=["scenario_generation", "solve_master", "compute_budget",
+        "DecisionTree", "HeuristicConfig"])
+def test_non_int_depth_is_rejected(demo_dataset, demo_space, solve, depth):
+    with pytest.raises(ValueError, match="^depth must be an int"):
+        solve(demo_dataset, demo_space, depth)
+
+
 class TestScenarioGeneration:
     def test_demo_global_budget(self, demo_dataset, demo_space):
         rep = scenario_generation(demo_dataset,

@@ -210,6 +210,15 @@ class TestCli:
         assert code == cli.EXIT_ERROR
         assert "sample rows do not match n_items" in capsys.readouterr().err
 
+    def test_label_naming_no_scenario_is_error(self, tmp_path, capsys):
+        inst = self._generate(tmp_path)
+        raw = json.loads(inst.read_text())
+        raw["train"]["labels"][0] = 7
+        inst.write_text(json.dumps(raw))
+        code = cli.main(["solve", "--instance", str(inst), "--method", "H1"])
+        assert code == cli.EXIT_ERROR
+        assert "train labels must name one of the 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("budget", [["--gamma", "1"],
                                         ["--lambda", "0.05"]],
                              ids=["gamma", "lambda"])

@@ -10,6 +10,7 @@ from conftest import selection_fixture
 from robust_trees import (
     ConvergenceStall,
     Dataset,
+    DecisionTree,
     HeuristicConfig,
     InstanceSpec,
     NoSplitAvailable,
@@ -21,6 +22,7 @@ from robust_trees import (
     h_alt,
     h_sol,
     h_tree,
+    leaf_values,
     max_item_range,
     optimize_leaves_global,
     optimize_leaves_local,
@@ -52,6 +54,8 @@ class TestHeuristicConfig:
         {"max_rounds": 1.5},
         {"max_rounds": True},
         {"time_limit": float("inf")},
+        {"depth": 1.5},
+        {"depth": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -143,6 +147,52 @@ class TestOptimizeLeaves:
             assert value == pytest.approx(best, abs=1e-9)
             assert value == robust_value(fitted, ds,
                                          UncertaintyBudget.global_(gamma))
+
+    def test_pool_values_are_leaf_values(self):
+        """The adversary's pool values, column-picked, are bitwise the
+        ``leaf_values`` of the filled tree, for any number of leaves."""
+        rng = np.random.default_rng(73)
+        for seed, grid, n_train in ((0, 3, 5), (1, 4, 5), (2, 3, 23)):
+            ds, space = small_instance(seed, grid, n_train)
+            pool = space.enumerate()
+            values = heuristics._pool_values(ds, pool)[1]
+            catalog = build_threshold_catalog(ds)
+            for depth in (0, 1, 2, 3):
+                items, thetas = sample_random_structure(catalog, depth, rng)
+                pick = rng.integers(len(pool), size=2 ** depth)
+                tree = DecisionTree(depth, items, thetas, pool[pick])
+                assert (values[:, pick].tobytes()
+                        == leaf_values(ds, tree).tobytes())
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_global_matches_reference_loop(self, depth):
+        """Efforts computed once and scenarios routed once give bitwise
+        the trees and objectives of routing every scenario again and
+        running the full adversary on every master tree."""
+        rng = np.random.default_rng(74 + depth)
+        for _ in range(8):
+            ds, space = small_instance(int(rng.integers(1000)),
+                                       n_train=int(rng.integers(3, 6)))
+            pool = space.enumerate()
+            catalog = build_threshold_catalog(ds)
+            items, thetas = sample_random_structure(catalog, depth, rng)
+            tree = DecisionTree(depth, items, thetas,
+                                np.zeros((2 ** depth, ds.n_items), np.int8))
+            for lam in (0.0, 0.02, 0.05, 0.2):
+                gamma = compute_budget(ds, lam, depth, "global").gamma
+                try:
+                    ref = oracles.optimize_leaves_global_loop(tree, ds,
+                                                              gamma, pool)
+                except ConvergenceStall:
+                    with pytest.raises(ConvergenceStall):
+                        optimize_leaves_global(tree, ds, gamma, pool)
+                    continue
+                got = optimize_leaves_global(tree, ds, gamma, pool)
+                assert (np.float64(got[1]).tobytes()
+                        == np.float64(ref[1]).tobytes())
+                for field in ("items", "thresholds", "leaves"):
+                    a, b = getattr(got[0], field), getattr(ref[0], field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_selection_fixture_value(self):
         ds, space, tree = selection_fixture()

@@ -82,6 +82,16 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match="n_items|grid side 3"):
             instance_from_json(json.dumps(raw))
 
+    @pytest.mark.parametrize("part, label", [("train", 7), ("test", 3),
+                                             ("train", -1)])
+    def test_labels_naming_no_scenario_fail_at_load(self, part, label):
+        inst = generate_instance(InstanceSpec(grid_side=3, n_train=4,
+                                              n_test=6, seed=11))
+        raw = json.loads(instance_to_json(inst))
+        raw[part]["labels"][0] = label
+        with pytest.raises(ValueError, match=f"{part} labels .* 3 basis"):
+            instance_from_json(json.dumps(raw))
+
 
 class TestBudgets:
     def test_max_item_range(self):
